@@ -164,10 +164,10 @@ func (tp taintProblem) Entry() taintState {
 	return s
 }
 
-func (tp taintProblem) Clone(s taintState) taintState {
+func (tp taintProblem) CopyInto(dst, src taintState) taintState {
 	return taintState{
-		arena: append([]bool(nil), s.arena...),
-		conz:  append([]bool(nil), s.conz...),
+		arena: append(dst.arena[:0], src.arena...),
+		conz:  append(dst.conz[:0], src.conz...),
 	}
 }
 
@@ -456,8 +456,8 @@ type mustStoredProblem struct {
 }
 
 func (mp mustStoredProblem) Entry() []uint64 { return make([]uint64, mp.words) }
-func (mp mustStoredProblem) Clone(s []uint64) []uint64 {
-	return append([]uint64(nil), s...)
+func (mp mustStoredProblem) CopyInto(dst, src []uint64) []uint64 {
+	return append(dst[:0], src...)
 }
 func (mp mustStoredProblem) Join(dst, src []uint64) ([]uint64, bool) {
 	changed := false
@@ -539,8 +539,9 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 			}
 		}
 	}
-	var mainIn []taintState
-	var mainReached []bool
+	// resultEscapes lists, from the latest solve of main, the reachable
+	// exits whose result may hold arena cells (rule 3's input).
+	var resultEscapes []int
 	mainExt := -1
 	for round := 0; round < DefaultMaxPasses; round++ {
 		changed := false
@@ -549,22 +550,31 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 			if g == nil {
 				continue
 			}
-			in, reached, _ := SolveForward[taintState](g, problems[i], DefaultMaxPasses)
-			if problems[i].isMain {
-				mainIn, mainReached, mainExt = in, reached, i
+			tp := problems[i]
+			sol := SolveForward[taintState](g, tp, DefaultMaxPasses)
+			if tp.isMain {
+				mainExt = i
+				resultEscapes = resultEscapes[:0]
 			}
-			for pc := g.Start(); pc < g.End(); pc++ {
-				if !reached[pc-g.Start()] {
-					continue
-				}
+			sol.Walk(func(pc int, in taintState) {
 				instr := p.Code[pc]
-				if instr.Op != vm.OpStoreGlobal || instr.B < 0 || instr.B >= len(gArena) {
-					continue
+				if tp.isMain && opt.StrictResult {
+					switch instr.Op {
+					case vm.OpHalt, vm.OpReturn:
+						if a, _ := tp.taintAt(in, vm.RegRV); a {
+							resultEscapes = append(resultEscapes, pc)
+						}
+					case vm.OpTailCall:
+						// The result comes from the callee.
+						resultEscapes = append(resultEscapes, pc)
+					}
 				}
-				tp := problems[i]
+				if instr.Op != vm.OpStoreGlobal || instr.B < 0 || instr.B >= len(gArena) {
+					return
+				}
 				// Taint of the stored register AFTER the instructions
 				// before the store ran: the in-state at the store.
-				a, c := tp.taintAt(in[pc-g.Start()], instr.A)
+				a, c := tp.taintAt(in, instr.A)
 				if a && !gArena[instr.B] {
 					gArena[instr.B] = true
 					changed = true
@@ -573,7 +583,7 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 					gConst[instr.B] = true
 					changed = true
 				}
-			}
+			})
 		}
 		if mutHazard {
 			for gi := range gArena {
@@ -617,7 +627,7 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 	if mainExt >= 0 {
 		g := cg.Graphs[mainExt]
 		words := (len(p.GlobalNames) + 63) / 64
-		stored, _, _ := SolveForward[[]uint64](g, mustStoredProblem{p: p, words: words}, DefaultMaxPasses)
+		stored := SolveForward[[]uint64](g, mustStoredProblem{p: p, words: words}, DefaultMaxPasses)
 		readSums := globalReadSummaries(cg)
 		full := make([]uint64, words)
 		for gi := range p.GlobalNames {
@@ -637,14 +647,7 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 				Witness: g.WitnessPath(pc),
 			})
 		}
-		for pc := g.Start(); pc < g.End(); pc++ {
-			if mainReached != nil && !mainReached[pc-g.Start()] {
-				continue
-			}
-			st := stored[pc-g.Start()]
-			if st == nil {
-				continue
-			}
+		stored.Walk(func(pc int, st []uint64) {
 			in := p.Code[pc]
 			switch in.Op {
 			case vm.OpLoadGlobal:
@@ -663,33 +666,17 @@ func AnalyzeArena(p *vm.Program, opt ArenaOptions) *ArenaReport {
 					}
 				}
 			}
-		}
+		})
 
 		// Rule 3: strict result escape at main's exits.
-		if opt.StrictResult && mainIn != nil {
-			for pc := g.Start(); pc < g.End(); pc++ {
-				if !mainReached[pc-g.Start()] {
-					continue
-				}
-				in := p.Code[pc]
-				exit := in.Op == vm.OpHalt || in.Op == vm.OpReturn || in.Op == vm.OpTailCall
-				if !exit {
-					continue
-				}
-				tainted := true // tail call: result comes from the callee
-				if in.Op != vm.OpTailCall {
-					tainted, _ = problems[mainExt].taintAt(mainIn[pc-g.Start()], vm.RegRV)
-				}
-				if tainted {
-					rep.Totals.ResultEscapes++
-					rep.Findings = append(rep.Findings, findings.Finding{
-						Tool: "arena", Kind: KindArenaResultEscape, Proc: mainName(p),
-						PC: pc, Instr: instrAt(p, pc), Reg: vm.RegRV, Slot: -1, CallPC: -1,
-						Msg:     "program result may contain arena cells: a caller that recycles between runs must not retain it (strict-result mode)",
-						Witness: g.WitnessPath(pc),
-					})
-				}
-			}
+		for _, pc := range resultEscapes {
+			rep.Totals.ResultEscapes++
+			rep.Findings = append(rep.Findings, findings.Finding{
+				Tool: "arena", Kind: KindArenaResultEscape, Proc: mainName(p),
+				PC: pc, Instr: instrAt(p, pc), Reg: vm.RegRV, Slot: -1, CallPC: -1,
+				Msg:     "program result may contain arena cells: a caller that recycles between runs must not retain it (strict-result mode)",
+				Witness: g.WitnessPath(pc),
+			})
 		}
 	}
 

@@ -15,8 +15,27 @@ func TestArenaCorpus(t *testing.T) {
 	for _, c := range ArenaViolationCorpus() {
 		rep := AnalyzeArena(c.Prog, ArenaOptions{StrictResult: c.Strict})
 		got := map[string]bool{}
+		// Transfers run again on every replay of a solved extent, so a
+		// finding recorded per pc must still be reported exactly once.
+		type site struct {
+			kind     string
+			pc, slot int
+		}
+		once := map[site]bool{}
+		constMuts := 0
 		for _, f := range rep.Findings {
 			got[f.Kind] = true
+			if k := (site{f.Kind, f.PC, f.Slot}); once[k] {
+				t.Errorf("%s: %s at pc %d reported twice", c.Name, f.Kind, f.PC)
+			} else {
+				once[k] = true
+			}
+			if f.Kind == KindArenaConstMutation {
+				constMuts++
+			}
+		}
+		if rep.Totals.ConstMutations != constMuts {
+			t.Errorf("%s: ConstMutations total %d, %d findings", c.Name, rep.Totals.ConstMutations, constMuts)
 		}
 		for _, k := range c.Want {
 			if !got[k] {

@@ -124,8 +124,8 @@ func (cp calleeProblem) Entry() calleeState {
 	return s
 }
 
-func (cp calleeProblem) Clone(s calleeState) calleeState {
-	return append(calleeState(nil), s...)
+func (cp calleeProblem) CopyInto(dst, src calleeState) calleeState {
+	return append(dst[:0], src...)
 }
 
 func (cp calleeProblem) Join(dst, src calleeState) (calleeState, bool) {
@@ -318,8 +318,9 @@ func BuildCallGraph(p *vm.Program) *CallGraph {
 	// current bindings, fold each global store's stored value back in,
 	// repeat until stable. Bindings only rise in the lattice, so the
 	// round cap is generous.
-	solved := make([][]calleeState, len(cg.Extents))
-	reachedAll := make([][]bool, len(cg.Extents))
+	// sites collects, from the latest solve of each extent, the tracked
+	// callee at every reachable call.
+	sites := make([][]CallSite, len(cg.Extents))
 	stable := false
 	for round := 0; round < DefaultMaxPasses && !stable; round++ {
 		next := make([]Callee, len(seed))
@@ -330,18 +331,17 @@ func BuildCallGraph(p *vm.Program) *CallGraph {
 			if g == nil {
 				continue
 			}
-			prob := cg.problemFor(i)
-			in, reached, _ := SolveForward[calleeState](g, prob, DefaultMaxPasses)
-			solved[i], reachedAll[i] = in, reached
-			for pc := g.Start(); pc < g.End(); pc++ {
-				if !reached[pc-g.Start()] {
-					continue
+			sites[i] = sites[i][:0]
+			SolveForward[calleeState](g, cg.problemFor(i), DefaultMaxPasses).Walk(func(pc int, in calleeState) {
+				switch instr := p.Code[pc]; instr.Op {
+				case vm.OpStoreGlobal:
+					if instr.B >= 0 && instr.B < len(next) {
+						next[instr.B] = joinCallee(next[instr.B], in[instr.A])
+					}
+				case vm.OpCall, vm.OpTailCall, vm.OpCallCC:
+					sites[i] = append(sites[i], CallSite{PC: pc, Extent: i, Op: instr.Op, Callee: in[vm.RegCP]})
 				}
-				instr := p.Code[pc]
-				if instr.Op == vm.OpStoreGlobal && instr.B >= 0 && instr.B < len(next) {
-					next[instr.B] = joinCallee(next[instr.B], in[pc-g.Start()][instr.A])
-				}
-			}
+			})
 		}
 		stable = true
 		for gi := range next {
@@ -357,27 +357,15 @@ func BuildCallGraph(p *vm.Program) *CallGraph {
 		copy(cg.Globals, next)
 	}
 
-	// Collect call sites from the final converged states.
-	for i := range cg.Extents {
-		g := cg.Graphs[i]
-		if g == nil {
-			continue
-		}
-		for pc := g.Start(); pc < g.End(); pc++ {
-			if !reachedAll[i][pc-g.Start()] {
-				continue
-			}
-			op := p.Code[pc].Op
-			if op != vm.OpCall && op != vm.OpTailCall && op != vm.OpCallCC {
-				continue
-			}
-			callee := solved[i][pc-g.Start()][vm.RegCP]
+	// Call sites from the final converged states.
+	for _, ss := range sites {
+		for _, site := range ss {
 			if !stable {
 				// The binding fixpoint hit its round cap; the last solve
 				// may have used stale bindings, so resolve nothing.
-				callee = Callee{Kind: CalleeUnknown}
+				site.Callee = Callee{Kind: CalleeUnknown}
 			}
-			cg.Sites = append(cg.Sites, CallSite{PC: pc, Extent: i, Op: op, Callee: callee})
+			cg.Sites = append(cg.Sites, site)
 		}
 	}
 	return cg

@@ -25,7 +25,11 @@
 //     successors/predecessors, cached effects, basic blocks in reverse
 //     postorder) and the fixpoint engines SolveForward / SolveBackward,
 //     parameterized by a client-supplied transfer function and lattice
-//     join (fixpoint.go).
+//     join (fixpoint.go). The forward engine stores one state per basic
+//     block, at its head; clients recover the in-state of each
+//     instruction by replaying its block from the head
+//     (Solution.Walk). The backward engine stores one state per
+//     instruction.
 //   - Interprocedural: CallGraph (callgraph.go) resolves each call
 //     site's callee by tracking closure values through registers and
 //     once-bound globals, then Summaries (summary.go) computes each

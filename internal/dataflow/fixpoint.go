@@ -9,6 +9,16 @@ package dataflow
 // their findings reproducible bit-for-bit. The pass cap only trips on
 // malformed code (e.g. an irreducible backward-jump tangle), which the
 // caller then reports as unverifiable/unanalyzable.
+//
+// The forward engine is block-granular: it stores one state per basic
+// block (the in-state at the block head) and threads a single scratch
+// state, reused from block to block, through each block's
+// instructions, joining only at heads. Every edge into a head leaves
+// the last instruction of some block, so the joins happen in the same
+// order a per-instruction sweep would perform them, while storage stays
+// O(blocks × state) instead of O(instructions × state). Per-instruction
+// in-states are recovered on demand by replaying a block from its head
+// (Solution.Walk).
 
 // DefaultMaxPasses bounds a fixpoint run. The emitter never needs more
 // than one or two passes; the cap guards hand-built hostile inputs.
@@ -21,51 +31,88 @@ type ForwardProblem[S any] interface {
 	// Entry is the abstract state before the first instruction.
 	Entry() S
 	// Transfer applies the instruction at pc to s — which the engine
-	// owns (a clone) — and returns the state after it. It may mutate s.
+	// owns (a copy) — and returns the state after it. It may mutate s.
+	// It runs again for every replay (Solution.Walk), so any side effect
+	// it records must be idempotent per pc.
 	Transfer(pc int, s S) S
-	// Clone returns an independent copy of s.
-	Clone(s S) S
+	// CopyInto copies src into dst and returns the copy, which must
+	// share no storage with src. dst is the zero S or an engine-owned
+	// scratch state whose storage the copy may reuse.
+	CopyInto(dst, src S) S
 	// Join merges src into dst and reports whether dst changed. It must
 	// not mutate src, and must be idempotent, commutative and monotone
 	// so the fixpoint is schedule-independent.
 	Join(dst, src S) (S, bool)
 }
 
-// SolveForward computes the forward fixpoint over g. It returns the
-// in-state before every reachable instruction (indexed pc-Start), the
-// reachability mask, and whether the fixpoint converged within
-// maxPasses sweeps.
-func SolveForward[S any](g *Graph, p ForwardProblem[S], maxPasses int) (in []S, reached []bool, converged bool) {
-	n := g.end - g.start
-	in = make([]S, n)
-	reached = make([]bool, n)
-	in[0] = p.Entry()
-	reached[0] = true
-	var buf [2]int
+// Solution is a solved forward problem: the in-state at the head of
+// every reachable basic block.
+type Solution[S any] struct {
+	g       *Graph
+	p       ForwardProblem[S]
+	head    []S    // per block (indexed like Graph.Blocks)
+	reached []bool // per block
+	// Converged reports whether the fixpoint settled within the pass cap.
+	Converged bool
+}
+
+// SolveForward computes the forward fixpoint over g within maxPasses
+// address-order sweeps of its blocks.
+func SolveForward[S any](g *Graph, p ForwardProblem[S], maxPasses int) *Solution[S] {
+	blocks := g.Blocks()
+	sol := &Solution[S]{g: g, p: p, head: make([]S, len(blocks)), reached: make([]bool, len(blocks))}
+	sol.head[0] = p.Entry()
+	sol.reached[0] = true
+	var zero, s S
 	for pass := 0; pass < maxPasses; pass++ {
 		changed := false
-		for pc := g.start; pc < g.end; pc++ {
-			if !reached[pc-g.start] {
+		for bi, b := range blocks {
+			if !sol.reached[bi] {
 				continue
 			}
-			out := p.Transfer(pc, p.Clone(in[pc-g.start]))
-			for _, succ := range g.Succs(pc, buf[:]) {
-				i := succ - g.start
-				if !reached[i] {
-					in[i] = p.Clone(out)
-					reached[i] = true
+			s = p.CopyInto(s, sol.head[bi])
+			for pc := b.Start; pc < b.End; pc++ {
+				s = p.Transfer(pc, s)
+			}
+			for _, sb := range b.Succs {
+				if !sol.reached[sb] {
+					sol.head[sb] = p.CopyInto(zero, s)
+					sol.reached[sb] = true
 					changed = true
-				} else if nv, ch := p.Join(in[i], out); ch {
-					in[i] = nv
+				} else if nv, ch := p.Join(sol.head[sb], s); ch {
+					sol.head[sb] = nv
 					changed = true
 				}
 			}
 		}
 		if !changed {
-			return in, reached, true
+			sol.Converged = true
+			break
 		}
 	}
-	return in, reached, false
+	return sol
+}
+
+// Reached reports whether pc is reachable from the extent entry.
+func (sol *Solution[S]) Reached(pc int) bool { return sol.reached[sol.g.BlockOf(pc)] }
+
+// Walk replays every reachable block in address order from its solved
+// head state, calling visit with the in-state of each instruction
+// before Transfer advances past it. visit sees the engine's scratch
+// state: it may read it but must neither mutate it nor keep it past the
+// call (copy what must outlive it).
+func (sol *Solution[S]) Walk(visit func(pc int, in S)) {
+	var s S
+	for bi, b := range sol.g.Blocks() {
+		if !sol.reached[bi] {
+			continue
+		}
+		s = sol.p.CopyInto(s, sol.head[bi])
+		for pc := b.Start; pc < b.End; pc++ {
+			visit(pc, s)
+			s = sol.p.Transfer(pc, s)
+		}
+	}
 }
 
 // BackwardProblem is a backward may-analysis: facts flow from every

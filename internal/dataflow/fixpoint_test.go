@@ -25,20 +25,101 @@ func (md maybeDefined) Entry() regset.Set { return 0 }
 func (md maybeDefined) Transfer(pc int, s regset.Set) regset.Set {
 	return s.Union(md.g.Effects(pc).Defs)
 }
-func (md maybeDefined) Clone(s regset.Set) regset.Set { return s }
+func (md maybeDefined) CopyInto(_, src regset.Set) regset.Set { return src }
 func (md maybeDefined) Join(dst, src regset.Set) (regset.Set, bool) {
 	nv := dst.Union(src)
 	return nv, nv != dst
+}
+
+// refSolveForward is the naive per-instruction forward solver the
+// block-granular engine replaced: it stores an in-state for every pc
+// and sweeps every reachable instruction in address order. It is kept
+// here as the reference the engine must agree with.
+func refSolveForward[S any](g *dataflow.Graph, p dataflow.ForwardProblem[S], maxPasses int) (in []S, reached []bool, converged bool) {
+	n := g.End() - g.Start()
+	in = make([]S, n)
+	reached = make([]bool, n)
+	in[0] = p.Entry()
+	reached[0] = true
+	var zero S
+	var buf [2]int
+	for pass := 0; pass < maxPasses; pass++ {
+		changed := false
+		for pc := g.Start(); pc < g.End(); pc++ {
+			if !reached[pc-g.Start()] {
+				continue
+			}
+			out := p.Transfer(pc, p.CopyInto(zero, in[pc-g.Start()]))
+			for _, succ := range g.Succs(pc, buf[:]) {
+				i := succ - g.Start()
+				if !reached[i] {
+					in[i] = p.CopyInto(zero, out)
+					reached[i] = true
+					changed = true
+				} else if nv, ch := p.Join(in[i], out); ch {
+					in[i] = nv
+					changed = true
+				}
+			}
+		}
+		if !changed {
+			return in, reached, true
+		}
+	}
+	return in, reached, false
+}
+
+// walkIns collects the per-pc in-states the engine's replay yields.
+func walkIns[S comparable](g *dataflow.Graph, sol *dataflow.Solution[S]) (in []S, reached []bool) {
+	n := g.End() - g.Start()
+	in = make([]S, n)
+	reached = make([]bool, n)
+	last := -1
+	sol.Walk(func(pc int, s S) {
+		if pc <= last {
+			panic("Walk visited pcs out of address order")
+		}
+		last = pc
+		in[pc-g.Start()] = s
+		reached[pc-g.Start()] = true
+	})
+	return in, reached
+}
+
+// checkAgainstReference solves p with both engines and requires the
+// same convergence flag, reachability and block-head in-states; when
+// the fixpoint converged, every replayed in-state must match too.
+func checkAgainstReference[S comparable](t *testing.T, g *dataflow.Graph, p dataflow.ForwardProblem[S]) *dataflow.Solution[S] {
+	t.Helper()
+	refIn, refReached, refConverged := refSolveForward(g, p, dataflow.DefaultMaxPasses)
+	sol := dataflow.SolveForward(g, p, dataflow.DefaultMaxPasses)
+	if sol.Converged != refConverged {
+		t.Fatalf("converged = %v, reference %v", sol.Converged, refConverged)
+	}
+	in, reached := walkIns(g, sol)
+	for pc := g.Start(); pc < g.End(); pc++ {
+		i := pc - g.Start()
+		if reached[i] != refReached[i] || sol.Reached(pc) != refReached[i] {
+			t.Errorf("pc %d: reached walk=%v solution=%v, reference %v", pc, reached[i], sol.Reached(pc), refReached[i])
+			continue
+		}
+		head := g.Blocks()[g.BlockOf(pc)].Start == pc
+		if reached[i] && (head || sol.Converged) && in[i] != refIn[i] {
+			t.Errorf("in[%d] = %v, reference %v", pc, in[i], refIn[i])
+		}
+	}
+	return sol
 }
 
 func TestSolveForwardDiamond(t *testing.T) {
 	// 0: branch to 3 | 1: def r1 | 2: jump 4 | 3: def r2 | 4: exit
 	eff := []vm.Effects{branch(3), def(1), jump(4), def(2), exit()}
 	g := dataflow.GraphFromEffects(0, len(eff), eff)
-	in, reached, converged := dataflow.SolveForward[regset.Set](g, maybeDefined{g}, dataflow.DefaultMaxPasses)
-	if !converged {
+	sol := checkAgainstReference[regset.Set](t, g, maybeDefined{g})
+	if !sol.Converged {
 		t.Fatalf("diamond did not converge")
 	}
+	in, reached := walkIns(g, sol)
 	for pc, r := range reached {
 		if !r {
 			t.Fatalf("pc %d unreached", pc)
@@ -57,15 +138,60 @@ func TestSolveForwardUnreachable(t *testing.T) {
 	// 1 is dead: 0 jumps straight to 2.
 	eff := []vm.Effects{jump(2), def(1), exit()}
 	g := dataflow.GraphFromEffects(0, len(eff), eff)
-	_, reached, converged := dataflow.SolveForward[regset.Set](g, maybeDefined{g}, dataflow.DefaultMaxPasses)
-	if !converged {
+	sol := checkAgainstReference[regset.Set](t, g, maybeDefined{g})
+	if !sol.Converged {
 		t.Fatalf("did not converge")
 	}
-	if reached[1] {
+	if sol.Reached(1) {
 		t.Errorf("dead pc 1 marked reached")
 	}
-	if !reached[0] || !reached[2] {
-		t.Errorf("live pcs unreached: %v", reached)
+	if !sol.Reached(0) || !sol.Reached(2) {
+		t.Errorf("live pcs unreached")
+	}
+}
+
+func TestSolveForwardLoop(t *testing.T) {
+	// 0: def r1 | 1: def r2 | 2: branch back to 1 | 3: def r3 | 4: branch
+	// back to 0 | 5: exit. The outer back-edge carries r3 into both loop
+	// heads, so the fixpoint needs more than one sweep.
+	eff := []vm.Effects{def(1), def(2), branch(1), def(3), branch(0), exit()}
+	g := dataflow.GraphFromEffects(0, len(eff), eff)
+	sol := checkAgainstReference[regset.Set](t, g, maybeDefined{g})
+	if !sol.Converged {
+		t.Fatalf("loop did not converge")
+	}
+	in, _ := walkIns(g, sol)
+	var none regset.Set
+	if want := none.Add(1).Add(2).Add(3); in[1] != want {
+		t.Errorf("in[1] = %v, want %v", in[1], want)
+	}
+}
+
+// counter counts trips through pc 1: an infinite ascending chain, so a
+// loop through pc 1 never converges.
+type counter struct{}
+
+func (counter) Entry() int              { return 0 }
+func (counter) CopyInto(_, src int) int { return src }
+func (counter) Join(dst, src int) (int, bool) {
+	if src > dst {
+		return src, true
+	}
+	return dst, false
+}
+func (counter) Transfer(pc int, s int) int {
+	if pc == 1 {
+		return s + 1
+	}
+	return s
+}
+
+func TestSolveForwardPassCap(t *testing.T) {
+	// 0: fall | 1: count | 2: branch back to 1 | 3: exit
+	eff := []vm.Effects{fall(), fall(), branch(1), exit()}
+	g := dataflow.GraphFromEffects(0, len(eff), eff)
+	if sol := checkAgainstReference[int](t, g, counter{}); sol.Converged {
+		t.Fatalf("ascending chain reported converged")
 	}
 }
 

@@ -83,12 +83,14 @@ func (mp matchProblem) Entry() matchState {
 	return s
 }
 
-func (mp matchProblem) Clone(s matchState) matchState {
-	out := make(matchState, len(s))
-	for r := range s {
-		out[r] = append([]uint64(nil), s[r]...)
+func (mp matchProblem) CopyInto(dst, src matchState) matchState {
+	if len(dst) != len(src) {
+		dst = make(matchState, len(src))
 	}
-	return out
+	for r := range src {
+		dst[r] = append(dst[r][:0], src[r]...)
+	}
+	return dst
 }
 
 func (mp matchProblem) Join(dst, src matchState) (matchState, bool) {
@@ -208,8 +210,8 @@ func analyzeExtentInterproc(p *vm.Program, cg *CallGraph, sums *Summaries, ei in
 			mp.callClob[pc] = full
 		}
 	}
-	in, reached, converged := SolveForward[matchState](g, mp, DefaultMaxPasses)
-	if !converged {
+	sol := SolveForward[matchState](g, mp, DefaultMaxPasses)
+	if !sol.Converged {
 		return
 	}
 
@@ -233,17 +235,14 @@ func analyzeExtentInterproc(p *vm.Program, cg *CallGraph, sums *Summaries, ei in
 	}
 
 	deadRestore := map[int]bool{}
-	for pc := g.Start(); pc < g.End(); pc++ {
-		if !reached[pc-g.Start()] {
-			continue
-		}
+	sol.Walk(func(pc int, in matchState) {
 		instr := p.Code[pc]
 		switch {
 		case instr.Op == vm.OpStoreSlot && instr.Kind == vm.KindSave:
 			rep.Totals.Saves++
 		case instr.Op == vm.OpLoadSlot && instr.Kind == vm.KindRestore:
 			rep.Totals.Restores++
-			if instr.B >= 0 && instr.B < frame && in[pc-g.Start()].has(instr.A, instr.B) {
+			if instr.B >= 0 && instr.B < frame && in.has(instr.A, instr.B) {
 				deadRestore[pc] = true
 				rep.Totals.CrossDeadRestores++
 				witness := g.WitnessPath(pc)
@@ -259,7 +258,7 @@ func analyzeExtentInterproc(p *vm.Program, cg *CallGraph, sums *Summaries, ei in
 				report(KindCrossCallDeadRestore, pc, instr.A, instr.B, callPC, msg, witness)
 			}
 		}
-	}
+	})
 
 	// A save is cross-call-redundant when its slot has at least one
 	// reachable read and every such read is a cross-call-dead restore:
@@ -267,7 +266,7 @@ func analyzeExtentInterproc(p *vm.Program, cg *CallGraph, sums *Summaries, ei in
 	// reads at all are the intraprocedural lint's redundant-save finding
 	// and are not re-reported here.
 	for pc := g.Start(); pc < g.End(); pc++ {
-		if !reached[pc-g.Start()] {
+		if !sol.Reached(pc) {
 			continue
 		}
 		instr := p.Code[pc]

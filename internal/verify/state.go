@@ -181,27 +181,41 @@ type savedCopy struct {
 	sym  int32
 }
 
-// state is the abstract machine state before one instruction.
+// state is the abstract machine state before one instruction. regs,
+// slots and outs are consecutive windows of one cell array.
 type state struct {
-	live  bool
 	regs  []absVal
 	slots []absVal
 	outs  []absVal
 	saved []savedCopy
 }
 
-func (s *state) clone() state {
+// newState allocates a zeroed state with the given cell counts.
+func newState(nRegs, frame, nOut int) state {
+	cells := make([]absVal, nRegs+frame+nOut)
 	return state{
-		live:  s.live,
-		regs:  append([]absVal(nil), s.regs...),
-		slots: append([]absVal(nil), s.slots...),
-		outs:  append([]absVal(nil), s.outs...),
-		saved: append([]savedCopy(nil), s.saved...),
+		regs:  cells[:nRegs:nRegs],
+		slots: cells[nRegs : nRegs+frame : nRegs+frame],
+		outs:  cells[nRegs+frame:],
+		saved: make([]savedCopy, nRegs),
 	}
 }
 
-// joinInto merges src into dst, returning whether dst changed. dst must
-// already be live with the same cell counts.
+// copyInto copies s into dst, allocating a fresh state unless dst
+// already has s's cell counts, and returns the copy.
+func (s *state) copyInto(dst state) state {
+	if len(dst.regs) != len(s.regs) || len(dst.slots) != len(s.slots) || len(dst.outs) != len(s.outs) {
+		dst = newState(len(s.regs), len(s.slots), len(s.outs))
+	}
+	copy(dst.regs, s.regs)
+	copy(dst.slots, s.slots)
+	copy(dst.outs, s.outs)
+	copy(dst.saved, s.saved)
+	return dst
+}
+
+// joinInto merges src into dst, returning whether dst changed. Both
+// must have the same cell counts.
 func (t *symtab) joinInto(dst *state, src *state) bool {
 	changed := false
 	mergeVals := func(d, s []absVal) {

@@ -219,9 +219,10 @@ func Program(p *vm.Program) []Violation {
 	}
 
 	ranges := procRanges(p, &out)
+	shuffles := shufflesByRange(p, ranges)
 	syms := newSymtab()
-	for _, pr := range ranges {
-		pv := newProcVerifier(p, pr, syms)
+	for i, pr := range ranges {
+		pv := newProcVerifier(p, pr, syms, shuffles[i])
 		pv.run(&out)
 	}
 
@@ -295,4 +296,24 @@ func procRanges(p *vm.Program, out *[]Violation) []procRange {
 		}
 	}
 	return rs
+}
+
+// shufflesByRange buckets p.Shuffles by the procedure extent holding
+// each record's StartPC, keeping Program.Shuffles order within a bucket
+// and dropping records whose CallPC precedes StartPC or leaves the
+// extent.
+func shufflesByRange(p *vm.Program, ranges []procRange) [][]*vm.ShuffleRecord {
+	out := make([][]*vm.ShuffleRecord, len(ranges))
+	for k := range p.Shuffles {
+		rec := &p.Shuffles[k]
+		// The last extent starting at or before StartPC: ranges are
+		// sorted and contiguous, and of two sharing an entry only the
+		// later one is non-empty.
+		i := sort.Search(len(ranges), func(i int) bool { return ranges[i].start > rec.StartPC }) - 1
+		if i < 0 || rec.StartPC >= ranges[i].end || rec.CallPC < rec.StartPC || rec.CallPC >= ranges[i].end {
+			continue
+		}
+		out[i] = append(out[i], rec)
+	}
+	return out
 }

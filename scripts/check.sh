@@ -47,6 +47,9 @@ go run ./cmd/lsrvet
 echo "== go test =="
 go test $short ./...
 
+echo "== go test: perfbench module (pipeline drift guard, verify oracle) =="
+(cd perfbench && go test $short ./...)
+
 echo "== go test -race =="
 go test -race -short ./...
 
