@@ -32,8 +32,8 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/dataflow"
 	"repro/internal/findings"
-	"repro/internal/verify"
 	"repro/internal/vm"
 )
 
@@ -212,12 +212,14 @@ func AnalyzeWithCost(p *vm.Program, cm vm.CostModel) *Report {
 			entryToProc[info.Entry] = i
 		}
 	}
-	for _, ext := range verify.Extents(p) {
+	exts := dataflow.Extents(p)
+	shuffles := dataflow.ShufflesByExtent(p, exts)
+	for i, ext := range exts {
 		idx, ok := entryToProc[ext.Start]
 		if !ok {
 			continue
 		}
-		pa := newProcAnalysis(p, cm, ext, idx, rep)
+		pa := newProcAnalysis(p, cm, ext, idx, rep, shuffles[i])
 		if pa == nil {
 			continue
 		}

@@ -37,12 +37,16 @@ type procAnalysis struct {
 	regLiveIn  []regset.Set
 	slotLiveIn [][]uint64
 
+	// shuffles are the shuffle records inside this procedure's extent
+	// (dataflow.ShufflesByExtent).
+	shuffles []*vm.ShuffleRecord
+
 	// shufflePC marks instructions counted as shuffle data movement,
 	// for the cost scan's attribution.
 	shufflePC map[int]bool
 }
 
-func newProcAnalysis(p *vm.Program, cm vm.CostModel, ext verify.ProcExtent, procIdx int, rep *Report) *procAnalysis {
+func newProcAnalysis(p *vm.Program, cm vm.CostModel, ext dataflow.Extent, procIdx int, rep *Report, shuffles []*vm.ShuffleRecord) *procAnalysis {
 	pf, ok := verify.NewPathFinder(p, ext.Start, ext.End)
 	if !ok {
 		return nil
@@ -65,6 +69,7 @@ func newProcAnalysis(p *vm.Program, cm vm.CostModel, ext verify.ProcExtent, proc
 		g:         pf.Graph(),
 		rep:       rep,
 		cost:      &rep.Procs[procIdx],
+		shuffles:  shuffles,
 		shufflePC: map[int]bool{},
 	}
 }

@@ -64,19 +64,13 @@ type winOp struct {
 // checkShuffles analyzes every recorded shuffle window inside this
 // procedure's extent.
 func (pa *procAnalysis) checkShuffles() {
-	for _, rec := range pa.p.Shuffles {
-		if rec.StartPC < pa.start || rec.StartPC >= pa.end {
-			continue
-		}
-		if rec.CallPC < rec.StartPC || rec.CallPC >= pa.end {
-			continue
-		}
+	for _, rec := range pa.shuffles {
 		pa.cost.ShuffleWindows++
 		pa.checkShuffle(rec)
 	}
 }
 
-func (pa *procAnalysis) checkShuffle(rec vm.ShuffleRecord) {
+func (pa *procAnalysis) checkShuffle(rec *vm.ShuffleRecord) {
 	targets := map[int]vm.ShuffleAssign{}
 	for _, a := range rec.Assigns {
 		targets[a.Target] = a

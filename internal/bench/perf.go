@@ -117,8 +117,11 @@ func ReadPerfReport(data []byte) (*PerfReport, error) {
 }
 
 // ComparePerf gates a candidate report against a committed baseline.
-// Three checks:
+// Four checks:
 //
+//   - every baseline entry must be measured: a program dropped from the
+//     suite fails the gate instead of passing unnoticed. (A candidate
+//     entry with no baseline is new and is not compared.)
 //   - sim_cycles must match exactly per program. Simulated cycles are
 //     deterministic, so any difference is a real semantic change to the
 //     compiler or cost model and must be an intentional, reviewed
@@ -143,7 +146,9 @@ func ComparePerf(base, cur *PerfReport, wallThreshold, allocThreshold float64) e
 	}
 	var problems []string
 	logRatioSum, n := 0.0, 0
+	measured := map[string]bool{}
 	for _, e := range cur.Entries {
+		measured[e.Program+"/"+e.Engine] = true
 		b, ok := baseBy[e.Program+"/"+e.Engine]
 		if !ok {
 			continue // new program: nothing to compare
@@ -161,6 +166,13 @@ func ComparePerf(base, cur *PerfReport, wallThreshold, allocThreshold float64) e
 			problems = append(problems, fmt.Sprintf(
 				"%s: allocs_per_op %d, baseline %d (exceeds %.0f%% growth; fix the allocation or update the baseline intentionally)",
 				e.Program, e.AllocsPerOp, b.AllocsPerOp, allocThreshold*100))
+		}
+	}
+	for _, b := range base.Entries {
+		if !measured[b.Program+"/"+b.Engine] {
+			problems = append(problems, fmt.Sprintf(
+				"%s: in the baseline but not measured (program dropped from the suite; update the baseline intentionally)",
+				b.Program))
 		}
 	}
 	if n > 0 {

@@ -111,3 +111,12 @@ func TestComparePerfNewProgramIgnored(t *testing.T) {
 		t.Fatalf("expected new program to be ignored, got %v", err)
 	}
 }
+
+func TestComparePerfDroppedProgramFails(t *testing.T) {
+	base, cur := perfFixture(), perfFixture()
+	cur.Entries = cur.Entries[:1]
+	err := ComparePerf(base, cur, 0.15, 0.10)
+	if err == nil || !strings.Contains(err.Error(), "b: in the baseline but not measured") {
+		t.Fatalf("expected dropped-program failure, got %v", err)
+	}
+}

@@ -1,7 +1,10 @@
 package dataflow
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sort"
 
 	"repro/internal/vm"
 )
@@ -150,7 +153,9 @@ type Extent struct {
 
 // Extents computes every procedure's code extent in address order,
 // skipping procedures whose entry lies outside the code (the verifier
-// reports those as violations).
+// reports those as violations). Procedures sharing an entry keep their
+// Program.Procs order (the sort is stable): all but the last of them
+// get an empty extent, and the last owns the body.
 func Extents(p *vm.Program) []Extent {
 	var out []Extent
 	for i, info := range p.Procs {
@@ -159,19 +164,33 @@ func Extents(p *vm.Program) []Extent {
 		}
 		out = append(out, Extent{Info: info, Index: i, Start: info.Entry})
 	}
-	// Insertion sort by entry address: the emitter already orders
-	// procedures, so this is one linear pass in practice.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Start < out[j-1].Start; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortStableFunc(out, func(a, b Extent) int { return cmp.Compare(a.Start, b.Start) })
 	for i := range out {
 		if i+1 < len(out) {
 			out[i].End = out[i+1].Start
 		} else {
 			out[i].End = len(p.Code)
 		}
+	}
+	return out
+}
+
+// ShufflesByExtent buckets p.Shuffles by the extent (from Extents)
+// holding each record's StartPC, keeping Program.Shuffles order within a
+// bucket and dropping records whose CallPC precedes StartPC or leaves
+// the extent.
+func ShufflesByExtent(p *vm.Program, exts []Extent) [][]*vm.ShuffleRecord {
+	out := make([][]*vm.ShuffleRecord, len(exts))
+	for k := range p.Shuffles {
+		rec := &p.Shuffles[k]
+		// The last extent starting at or before StartPC: extents are
+		// sorted and contiguous, and of several sharing an entry only
+		// the last is non-empty.
+		i := sort.Search(len(exts), func(i int) bool { return exts[i].Start > rec.StartPC }) - 1
+		if i < 0 || rec.StartPC >= exts[i].End || rec.CallPC < rec.StartPC || rec.CallPC >= exts[i].End {
+			continue
+		}
+		out[i] = append(out[i], rec)
 	}
 	return out
 }

@@ -1,6 +1,7 @@
 package dataflow_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/compiler"
@@ -175,5 +176,42 @@ func TestExtentsOrderedAndContiguous(t *testing.T) {
 	}
 	if exts[len(exts)-1].End != len(p.Code) {
 		t.Fatalf("last extent ends at %d, code at %d", exts[len(exts)-1].End, len(p.Code))
+	}
+}
+
+// TestExtentsSharedEntryOrder: procedures that share an entry keep
+// their Program.Procs order, so the body always goes to the same one
+// (the last) and reports naming it are stable. Twenty procedures in
+// scrambled order push the sort past its small-input path.
+func TestExtentsSharedEntryOrder(t *testing.T) {
+	p := &vm.Program{Code: make([]vm.Instr, 64)}
+	for i := 0; i < 20; i++ {
+		entry := 60 - 3*(i/2) // pairs share an entry, in descending order
+		p.Procs = append(p.Procs, vm.ProcInfo{Name: fmt.Sprint("p", i), Entry: entry})
+	}
+	p.Procs = append(p.Procs, vm.ProcInfo{Name: "outside", Entry: 64})
+	p.Shuffles = []vm.ShuffleRecord{{StartPC: 33, CallPC: 34}, {StartPC: 60, CallPC: 70}}
+	exts := dataflow.Extents(p)
+	if len(exts) != 20 {
+		t.Fatalf("got %d extents, want 20 (the out-of-range entry skipped)", len(exts))
+	}
+	for i := 0; i < len(exts); i += 2 {
+		a, b := exts[i], exts[i+1]
+		if a.Start != b.Start || a.Index >= b.Index {
+			t.Fatalf("extents %d,%d = %+v, %+v: want a shared entry in Procs order", i, i+1, a, b)
+		}
+		if a.End != a.Start || b.End <= b.Start {
+			t.Fatalf("extents %d,%d = %+v, %+v: want the later one to own the body", i, i+1, a, b)
+		}
+	}
+	buckets := dataflow.ShufflesByExtent(p, exts)
+	for i, bucket := range buckets {
+		want := 0
+		if exts[i].Start == 33 && exts[i].End > 33 {
+			want = 1
+		}
+		if len(bucket) != want {
+			t.Errorf("extent %+v holds %d shuffles, want %d", exts[i], len(bucket), want)
+		}
 	}
 }

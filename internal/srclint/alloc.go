@@ -72,7 +72,8 @@ type AllocBaseline struct {
 type AllocConfig struct {
 	// Package is the build pattern whose escape diagnostics are read.
 	Package string
-	// Files are the hot-path file base names in scope.
+	// Files are the hot-path file base names in scope. Each must name
+	// a Go file of Package; MeasureEscapes fails otherwise.
 	Files []string
 	// RequireNote lists the files whose baseline entries must carry a
 	// justifying note: files outside the dispatch loop proper, where
@@ -80,14 +81,14 @@ type AllocConfig struct {
 	RequireNote []string
 }
 
-// DefaultAllocConfig scopes the analyzer to the VM hot path: the two
-// dispatch-loop files (whose boxing escapes are the roadmap's known
+// DefaultAllocConfig scopes the analyzer to the VM hot path: the
+// dispatch-loop file (whose boxing escapes are the roadmap's known
 // bottleneck) plus the machine state and value representation files,
 // where every escape must carry an explicit justification.
 func DefaultAllocConfig() AllocConfig {
 	return AllocConfig{
 		Package:     "./internal/vm",
-		Files:       []string{"exec.go", "fuse.go", "machine.go", "value.go"},
+		Files:       []string{"exec.go", "machine.go", "value.go"},
 		RequireNote: []string{"machine.go", "value.go"},
 	}
 }
@@ -98,6 +99,9 @@ var escapeLine = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (.+)$`)
 // returns the in-scope escape sites. The go tool replays compiler
 // diagnostics from the build cache, so repeated runs are cheap.
 func MeasureEscapes(root string, cfg AllocConfig) ([]AllocSite, string, error) {
+	if err := checkAllocScope(root, cfg); err != nil {
+		return nil, "", err
+	}
 	version, err := goVersion(root)
 	if err != nil {
 		return nil, "", err
@@ -110,6 +114,34 @@ func MeasureEscapes(root string, cfg AllocConfig) ([]AllocSite, string, error) {
 		return nil, "", fmt.Errorf("srclint: go build -gcflags=-m %s: %v\n%s", cfg.Package, err, errb.String())
 	}
 	return ParseEscapes(errb.String(), cfg.Files), version, nil
+}
+
+// checkAllocScope fails unless every cfg.Files entry names a Go file of
+// cfg.Package. A file with no escapes prints no diagnostics, so without
+// this check a renamed or deleted hot-path file would silently drop out
+// of the gate.
+func checkAllocScope(root string, cfg AllocConfig) error {
+	cmd := exec.Command("go", "list", "-f", "{{range .GoFiles}}{{.}}\n{{end}}", cfg.Package)
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("srclint: go list %s: %v", cfg.Package, err)
+	}
+	have := map[string]bool{}
+	for _, f := range strings.Fields(string(out)) {
+		have[f] = true
+	}
+	var missing []string
+	for _, f := range cfg.Files {
+		if !have[f] {
+			missing = append(missing, f)
+		}
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("srclint: alloc scope names %s, not Go files of %s; update AllocConfig.Files",
+			strings.Join(missing, ", "), cfg.Package)
+	}
+	return nil
 }
 
 // ParseEscapes extracts the escape sites from -gcflags=-m output,

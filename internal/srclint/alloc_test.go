@@ -279,6 +279,24 @@ func TestRealBaselineReportsReintroducedClosureAlloc(t *testing.T) {
 	}
 }
 
+// TestAllocScopeRejectsMissingFile: a scope entry that names no file
+// of the package (a renamed or deleted hot-path file) fails the
+// analyzer instead of silently shrinking the gate.
+func TestAllocScopeRejectsMissingFile(t *testing.T) {
+	if err := checkAllocScope("../..", DefaultAllocConfig()); err != nil {
+		t.Fatalf("default scope rejected: %v", err)
+	}
+	cfg := DefaultAllocConfig()
+	cfg.Files = append(cfg.Files, "fuse.go", "gone.go")
+	_, _, err := MeasureEscapes("../..", cfg)
+	if err == nil {
+		t.Fatal("scope naming missing files was accepted")
+	}
+	if !strings.Contains(err.Error(), "fuse.go, gone.go") {
+		t.Errorf("error does not name the missing files: %v", err)
+	}
+}
+
 func TestBaselineRoundTrip(t *testing.T) {
 	b := allocBase(t)
 	var sb strings.Builder

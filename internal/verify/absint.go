@@ -70,13 +70,13 @@ type violationKey struct {
 	slot int
 }
 
-func newProcVerifier(p *vm.Program, pr procRange, syms *symtab, shuffles []*vm.ShuffleRecord) *procVerifier {
+func newProcVerifier(p *vm.Program, ext dataflow.Extent, syms *symtab, shuffles []*vm.ShuffleRecord) *procVerifier {
 	return &procVerifier{
 		p:        p,
 		cfg:      p.Config,
-		info:     pr.info,
-		start:    pr.start,
-		end:      pr.end,
+		info:     ext.Info,
+		start:    ext.Start,
+		end:      ext.End,
 		nRegs:    p.Config.NumRegs(),
 		syms:     syms,
 		shuffles: shuffles,

@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/dataflow"
 	"repro/internal/findings"
 	"repro/internal/vm"
 )
@@ -218,11 +219,19 @@ func Program(p *vm.Program) []Violation {
 		})
 	}
 
-	ranges := procRanges(p, &out)
-	shuffles := shufflesByRange(p, ranges)
+	for _, info := range p.Procs {
+		if info.Entry <= 0 || info.Entry >= len(p.Code) {
+			out = append(out, Violation{
+				Kind: BadOperand, Proc: info.Name, PC: info.Entry, Reg: -1, Slot: -1, CallPC: -1,
+				Msg: fmt.Sprintf("procedure entry %d outside code (len %d)", info.Entry, len(p.Code)),
+			})
+		}
+	}
+	exts := dataflow.Extents(p)
+	shuffles := dataflow.ShufflesByExtent(p, exts)
 	syms := newSymtab()
-	for i, pr := range ranges {
-		pv := newProcVerifier(p, pr, syms, shuffles[i])
+	for i, ext := range exts {
+		pv := newProcVerifier(p, ext, syms, shuffles[i])
 		pv.run(&out)
 	}
 
@@ -241,79 +250,4 @@ func Check(p *vm.Program) error {
 		return &Error{Violations: vs}
 	}
 	return nil
-}
-
-// procRange is one procedure's contiguous code extent [start, end).
-type procRange struct {
-	info  vm.ProcInfo
-	start int
-	end   int
-}
-
-// ProcExtent is one procedure's contiguous code extent [Start, End),
-// exported for sibling static passes (internal/analysis) that walk the
-// same per-procedure code regions the verifier does.
-type ProcExtent struct {
-	Info  vm.ProcInfo
-	Start int
-	End   int
-}
-
-// Extents computes every procedure's code extent, in address order.
-// Procedures whose entry lies outside the code are skipped (the
-// verifier reports those as violations).
-func Extents(p *vm.Program) []ProcExtent {
-	var discard []Violation
-	rs := procRanges(p, &discard)
-	out := make([]ProcExtent, len(rs))
-	for i, r := range rs {
-		out[i] = ProcExtent{Info: r.info, Start: r.start, End: r.end}
-	}
-	return out
-}
-
-// procRanges computes each procedure's extent: procedures are emitted
-// contiguously, so a body runs from its entry to the next entry (or the
-// end of the code). Out-of-range entries are reported and skipped.
-func procRanges(p *vm.Program, out *[]Violation) []procRange {
-	var rs []procRange
-	for _, info := range p.Procs {
-		if info.Entry <= 0 || info.Entry >= len(p.Code) {
-			*out = append(*out, Violation{
-				Kind: BadOperand, Proc: info.Name, PC: info.Entry, Reg: -1, Slot: -1, CallPC: -1,
-				Msg: fmt.Sprintf("procedure entry %d outside code (len %d)", info.Entry, len(p.Code)),
-			})
-			continue
-		}
-		rs = append(rs, procRange{info: info, start: info.Entry})
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].start < rs[j].start })
-	for i := range rs {
-		if i+1 < len(rs) {
-			rs[i].end = rs[i+1].start
-		} else {
-			rs[i].end = len(p.Code)
-		}
-	}
-	return rs
-}
-
-// shufflesByRange buckets p.Shuffles by the procedure extent holding
-// each record's StartPC, keeping Program.Shuffles order within a bucket
-// and dropping records whose CallPC precedes StartPC or leaves the
-// extent.
-func shufflesByRange(p *vm.Program, ranges []procRange) [][]*vm.ShuffleRecord {
-	out := make([][]*vm.ShuffleRecord, len(ranges))
-	for k := range p.Shuffles {
-		rec := &p.Shuffles[k]
-		// The last extent starting at or before StartPC: ranges are
-		// sorted and contiguous, and of two sharing an entry only the
-		// later one is non-empty.
-		i := sort.Search(len(ranges), func(i int) bool { return ranges[i].start > rec.StartPC }) - 1
-		if i < 0 || rec.StartPC >= ranges[i].end || rec.CallPC < rec.StartPC || rec.CallPC >= ranges[i].end {
-			continue
-		}
-		out[i] = append(out[i], rec)
-	}
-	return out
 }

@@ -3,7 +3,7 @@
 // the reference switch loop (EngineSwitch): same result value, same
 // error (including the exact pc inside FuelError and RuntimeError), and
 // byte-for-byte identical Counters. This is the guardrail that lets the
-// threaded engine fuse superinstructions and specialize primitives
+// threaded engine pre-decode instructions and specialize primitives
 // without ever changing the simulated cost-model outputs the paper's
 // tables are built from.
 //
@@ -97,18 +97,50 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// quickPrograms is the -short subset: small programs that still cover
-// every fused superinstruction shape and specialized primitive.
+// quickPrograms is the -short subset: small programs that together
+// decode every specialized primitive under every equivConfigs
+// configuration (TestQuickProgramsCoverSpecPrims). fread brings *,
+// string-ref and char=?; typecheck brings the type predicates and
+// vector-ref. No suite program calls add1 or sub1 (boyer only quotes
+// them), so a small counting loop covers those two.
 func quickPrograms(t *testing.T) []*bench.Program {
 	var out []*bench.Program
-	for _, name := range []string{"tak", "cpstak", "deriv", "destruct"} {
+	for _, name := range []string{"tak", "cpstak", "deriv", "destruct", "fread", "typecheck"} {
 		p, err := bench.ByName(name)
 		if err != nil {
 			t.Fatalf("quick subset: %v", err)
 		}
 		out = append(out, p)
 	}
-	return out
+	return append(out, &bench.Program{
+		Name: "add1-sub1",
+		Source: `(define (count n acc) (if (zero? n) acc (count (sub1 n) (add1 acc))))
+		         (count 100 0)`,
+		Expect: "100",
+	})
+}
+
+// TestQuickProgramsCoverSpecPrims requires the -short subset to decode
+// every specialized-primitive dispatch code under every configuration,
+// so -short runs of TestEngineEquivalence exercise every specialized arm.
+func TestQuickProgramsCoverSpecPrims(t *testing.T) {
+	for cfgName, opts := range equivConfigs() {
+		var seen [vm.NumSpecPrims]bool
+		for _, p := range quickPrograms(t) {
+			c, err := compiler.Compile(p.Source, opts)
+			if err != nil {
+				t.Fatalf("%s/%s: compile: %v", cfgName, p.Name, err)
+			}
+			for i, used := range vm.DecodedSpecPrims(c.Program) {
+				seen[i] = seen[i] || used
+			}
+		}
+		for i, ok := range seen {
+			if !ok {
+				t.Errorf("%s: specialized primitive code xPCar+%d is never decoded by the quick subset", cfgName, i)
+			}
+		}
+	}
 }
 
 // checkEssential verifies the essential counter subset (the cost-model
@@ -123,8 +155,7 @@ func checkEssential(t *testing.T, label string, got, want *vm.Counters) {
 }
 
 // TestEngineEquivalenceFuel sweeps the step budget so execution is cut
-// off at every early pc — including inside fused runs and fused pairs —
-// and requires both engines to stop with the same *FuelError (same
+// off at every early pc and requires both engines to stop with the same *FuelError (same
 // budget, same pc) and identical counters at the point of exhaustion.
 func TestEngineEquivalenceFuel(t *testing.T) {
 	for cfgName, opts := range equivConfigs() {

@@ -37,8 +37,7 @@ type Machine struct {
 	// rest of the bookkeeping.
 	Counting CounterMode
 	// Engine selects the execution engine: EngineThreaded (default,
-	// pre-decoded handlers with superinstruction fusion) or
-	// EngineSwitch (the reference decode-every-step loop). Both are
+	// pre-decoded jump-table dispatch) or EngineSwitch (the reference decode-every-step loop). Both are
 	// observably identical; see exec.go.
 	Engine EngineKind
 	// MaxSteps is the execution fuel: the maximum number of instructions
