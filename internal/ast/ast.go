@@ -116,6 +116,8 @@ type Program struct {
 	Body Expr
 	// NumVars is one more than the largest Var.ID in the program.
 	NumVars int
+	// NumTmps is the number of gensyms the parser has issued.
+	NumTmps int
 }
 
 // Unspecified is the constant produced by one-armed ifs and empty bodies.

@@ -47,7 +47,16 @@ func (p *parser) gensym(stem string) sexp.Symbol {
 // become Defs; remaining expressions are sequenced into the body. The
 // value of the last body expression is the program result.
 func ParseProgram(forms []sexp.Datum) (*Program, error) {
-	p := &parser{}
+	return ParseProgramAfter(forms, 0, 0)
+}
+
+// ParseProgramAfter parses forms as the continuation of a program whose
+// earlier forms used numVars variable IDs and numTmps gensyms: IDs and
+// gensym names carry on from there, so each form parses exactly as it
+// would following those forms in one ParseProgram call. (Top-level
+// names are globals, so no other parser state crosses forms.)
+func ParseProgramAfter(forms []sexp.Datum, numVars, numTmps int) (*Program, error) {
+	p := &parser{nextVar: numVars, nextTmp: numTmps}
 	top := &scope{vars: map[sexp.Symbol]*Var{}}
 	prog := &Program{}
 	var body []Expr
@@ -75,6 +84,7 @@ func ParseProgram(forms []sexp.Datum) (*Program, error) {
 		prog.Body = &Begin{Exprs: body}
 	}
 	prog.NumVars = p.nextVar
+	prog.NumTmps = p.nextTmp
 	return prog, nil
 }
 

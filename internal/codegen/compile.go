@@ -2,7 +2,9 @@ package codegen
 
 import (
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/prim"
@@ -12,7 +14,6 @@ import (
 // codegen holds program-wide compilation state.
 type codegen struct {
 	opts   Options
-	prog   *ir.Program
 	code   []vm.Instr
 	consts []prim.Value
 	// constIdx dedups comparable constants.
@@ -27,17 +28,115 @@ type codegen struct {
 // Compile lowers an IR program to VM code under the given options. The
 // IR is annotated in place (variable locations, shuffle plans, save
 // sets), so a fresh IR must be built per compilation.
-func Compile(prog *ir.Program, opts Options) (compiled *vm.Program, stats Stats, err error) {
+func Compile(prog *ir.Program, opts Options) (*vm.Program, Stats, error) {
+	pre, err := CompilePrefix(nil, opts)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return CompileAfter(pre, prog)
+}
+
+// Prefix is the code generator's state after emitting the leading
+// procedures of a program (the prelude's): the code so far, the
+// constant and primitive pools with their dedup indices, the shuffle
+// records, the procedures' metadata and the running Stats. Allocation
+// is intraprocedural, so those procedures compile the same whatever
+// follows them. A Prefix is never written once built, so one serves
+// concurrent compilations.
+type Prefix struct {
+	opts     Options
+	code     []vm.Instr
+	consts   []prim.Value
+	constIdx map[prim.Value]int
+	prims    []*prim.Def
+	primIdx  map[*prim.Def]int
+	unspec   int
+	shuffles []vm.ShuffleRecord
+	procs    []vm.ProcInfo
+	stats    Stats
+}
+
+// CompilePrefix emits procs as procedures 0.. of a program that
+// CompileAfter completes under the same options. Like Compile, it
+// annotates their IR in place.
+func CompilePrefix(procs []*ir.Proc, opts Options) (*Prefix, error) {
 	if verr := opts.Config.Validate(); verr != nil {
-		return nil, Stats{}, verr
+		return nil, verr
 	}
 	cg := &codegen{
 		opts:     opts,
-		prog:     prog,
 		constIdx: map[prim.Value]int{},
 		primIdx:  map[*prim.Def]int{},
 		unspec:   -1,
 	}
+	cg.emit(vm.Instr{Op: vm.OpHalt}) // code[0]: where main returns
+	infos := make([]vm.ProcInfo, len(procs))
+	if err := cg.emitProcs(procs, infos); err != nil {
+		return nil, err
+	}
+	return &Prefix{
+		opts:     cg.opts,
+		code:     cg.code,
+		consts:   cg.consts,
+		constIdx: cg.constIdx,
+		prims:    cg.prims,
+		primIdx:  cg.primIdx,
+		unspec:   cg.unspec,
+		shuffles: cg.shuffles,
+		procs:    infos,
+		stats:    cg.stats,
+	}, nil
+}
+
+// CompileAfter lowers prog, converted after the prefix's procedures
+// (prog.ProcBase of them), under pre's options and links it onto pre:
+// the result is the whole program, as Compile would emit it for all the
+// procedures at once. pre's slices are copied, never appended to, since
+// pre is shared.
+func CompileAfter(pre *Prefix, prog *ir.Program) (*vm.Program, Stats, error) {
+	if prog.ProcBase != len(pre.procs) {
+		return nil, Stats{}, fmt.Errorf("codegen: program continues %d procedures, prefix has %d", prog.ProcBase, len(pre.procs))
+	}
+	cg := &codegen{
+		opts: pre.opts,
+		// The headroom holds main and a small program without regrowing.
+		code:     append(make([]vm.Instr, 0, len(pre.code)+len(pre.code)/4), pre.code...),
+		consts:   slices.Clone(pre.consts),
+		constIdx: maps.Clone(pre.constIdx),
+		prims:    slices.Clone(pre.prims),
+		primIdx:  maps.Clone(pre.primIdx),
+		unspec:   pre.unspec,
+		shuffles: slices.Clone(pre.shuffles),
+		stats:    pre.stats,
+	}
+	procs := make([]vm.ProcInfo, len(pre.procs)+len(prog.Procs))
+	copy(procs, pre.procs)
+	if err := cg.emitProcs(prog.Procs, procs[len(pre.procs):]); err != nil {
+		return nil, Stats{}, err
+	}
+
+	constMutable := make([]bool, len(cg.consts))
+	for i, c := range cg.consts {
+		constMutable[i] = isMutableConst(c)
+	}
+
+	out := &vm.Program{
+		Code:         cg.code,
+		Consts:       cg.consts,
+		ConstMutable: constMutable,
+		Prims:        cg.prims,
+		Procs:        procs,
+		MainIndex:    prog.MainIndex,
+		GlobalNames:  prog.GlobalNames,
+		PrimGlobals:  prog.PrimGlobals,
+		Config:       pre.opts.Config,
+		Shuffles:     cg.shuffles,
+	}
+	return out, cg.stats, nil
+}
+
+// emitProcs emits procs in order, filling infos[i] for procs[i].
+func (cg *codegen) emitProcs(procs []*ir.Proc, infos []vm.ProcInfo) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if os.Getenv("CODEGEN_DEBUG") != "" {
@@ -46,13 +145,9 @@ func Compile(prog *ir.Program, opts Options) (compiled *vm.Program, stats Stats,
 			err = fmt.Errorf("codegen: internal error: %v", r)
 		}
 	}()
-
-	cg.emit(vm.Instr{Op: vm.OpHalt}) // code[0]: where main returns
-
-	procs := make([]vm.ProcInfo, len(prog.Procs))
-	for i, p := range prog.Procs {
+	for i, p := range procs {
 		entry := cg.emitProc(p)
-		procs[i] = vm.ProcInfo{
+		infos[i] = vm.ProcInfo{
 			Name:           p.Name,
 			Entry:          entry,
 			NArgs:          len(p.Params),
@@ -69,25 +164,7 @@ func Compile(prog *ir.Program, opts Options) (compiled *vm.Program, stats Stats,
 		}
 	}
 	cg.stats.Instructions = len(cg.code)
-
-	constMutable := make([]bool, len(cg.consts))
-	for i, c := range cg.consts {
-		constMutable[i] = isMutableConst(c)
-	}
-
-	out := &vm.Program{
-		Code:         cg.code,
-		Consts:       cg.consts,
-		ConstMutable: constMutable,
-		Prims:        cg.prims,
-		Procs:        procs,
-		MainIndex:    prog.MainIndex,
-		GlobalNames:  prog.GlobalNames,
-		PrimGlobals:  prog.PrimGlobals,
-		Config:       opts.Config,
-		Shuffles:     cg.shuffles,
-	}
-	return out, cg.stats, nil
+	return nil
 }
 
 func (cg *codegen) emit(in vm.Instr) { cg.code = append(cg.code, in) }

@@ -6,13 +6,13 @@ package compiler
 
 import (
 	"io"
+	"slices"
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/codegen"
 	"repro/internal/interp"
 	"repro/internal/passes"
-	"repro/internal/prelude"
 	"repro/internal/prim"
 	"repro/internal/verify"
 	"repro/internal/vm"
@@ -34,32 +34,48 @@ func DefaultOptions() Options {
 // Compiled bundles the results of a compilation.
 type Compiled struct {
 	Program *vm.Program
-	IR      *irProgramAlias
 	Stats   codegen.Stats
 	// Lint is the optimality analyzer's report (nil unless Options.Lint).
 	Lint *analysis.Report
 }
 
-// irProgramAlias avoids exporting internal/ir in the public surface
-// while letting internal callers reach the IR for dumps.
-type irProgramAlias = irProgram
-
-// Compile compiles source text.
+// Compile compiles source text. The prelude's part of the program comes
+// from a fragment compiled once per option set (see fragmentFor); only
+// src is read, converted and allocated here, then linked onto it. The
+// result is identical to compiling the prelude and src as one program.
 func Compile(src string, opts Options) (*Compiled, error) {
-	full := src
-	if !opts.NoPrelude {
-		full = prelude.Source + "\n" + src
-	}
-	prog, err := ast.ParseString(full)
+	f, err := frontFor(opts.NoPrelude)
 	if err != nil {
 		return nil, err
 	}
-	converted := passes.AssignConvert(prog)
-	irProg, err := passes.ClosureConvert(converted)
+	user, err := f.parse(src)
 	if err != nil {
 		return nil, err
 	}
-	code, stats, err := codegen.Compile(irProg, opts.Options)
+	converted := passes.AssignConvert(user)
+	shadow := f.shadowedBy(converted)
+	if cerr := opts.Config.Validate(); cerr != nil {
+		// A whole-program compile reports conversion errors before the
+		// register configuration's. Convert against an uncached
+		// fragment to keep that order.
+		pre, _, err := passes.ConvertPrefix(f.converted, shadow)
+		if err == nil {
+			_, err = passes.ClosureConvertAfter(pre, converted)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return nil, cerr
+	}
+	frag, err := fragmentFor(f, opts.Options, shadow)
+	if err != nil {
+		return nil, err
+	}
+	irProg, err := passes.ClosureConvertAfter(frag.conv, converted)
+	if err != nil {
+		return nil, err
+	}
+	code, stats, err := codegen.CompileAfter(frag.code, irProg)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +84,7 @@ func Compile(src string, opts Options) (*Compiled, error) {
 			return nil, verr
 		}
 	}
-	c := &Compiled{Program: code, IR: irProg, Stats: stats}
+	c := &Compiled{Program: code, Stats: stats}
 	if opts.Lint {
 		c.Lint = analysis.Analyze(code)
 	}
@@ -112,15 +128,23 @@ func RunValidated(src string, opts Options, out io.Writer) (prim.Value, *vm.Coun
 }
 
 // Interpret evaluates source with the reference interpreter (the
-// differential-testing oracle).
+// differential-testing oracle). The prelude's definitions are the ones
+// parsed once for Compile: the interpreter never writes the AST it runs,
+// and it copies quoted data before a program can mutate it.
 func Interpret(src string, noPrelude bool, out io.Writer) (prim.Value, error) {
-	full := src
-	if !noPrelude {
-		full = prelude.Source + "\n" + src
-	}
-	prog, err := ast.ParseString(full)
+	f, err := frontFor(noPrelude)
 	if err != nil {
 		return prim.Value{}, err
+	}
+	user, err := f.parse(src)
+	if err != nil {
+		return prim.Value{}, err
+	}
+	prog := &ast.Program{
+		Defs:    slices.Concat(f.parsed.Defs, user.Defs),
+		Body:    user.Body,
+		NumVars: user.NumVars,
+		NumTmps: user.NumTmps,
 	}
 	in := interp.New(out)
 	in.MaxSteps = 500_000_000

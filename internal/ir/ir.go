@@ -230,8 +230,12 @@ type Proc struct {
 
 // Program is a closure-converted program.
 type Program struct {
-	// Procs[MainIndex] is the nullary entry procedure.
+	// Procs[i] is procedure ProcBase+i; procedure MainIndex is the
+	// nullary entry procedure. ProcBase is nonzero when the program was
+	// converted after a prefix (passes.ClosureConvertAfter) whose
+	// procedures are compiled separately.
 	Procs     []*Proc
+	ProcBase  int
 	MainIndex int
 	// GlobalNames[i] names global cell i. PrimGlobals[i] is non-nil when
 	// the cell initially holds that primitive as a first-class value.

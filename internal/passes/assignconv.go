@@ -26,6 +26,7 @@ func AssignConvert(p *ast.Program) *ast.Program {
 	}
 	out.Body = c.convert(p.Body)
 	out.NumVars = c.nextVar
+	out.NumTmps = p.NumTmps
 	return out
 }
 

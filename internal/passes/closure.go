@@ -2,6 +2,8 @@ package passes
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
@@ -15,26 +17,75 @@ import (
 // and calls to primitive names that the program does not shadow are
 // open-coded as ir.PrimCall.
 func ClosureConvert(p *ast.Program) (*ir.Program, error) {
-	cc := &closureConverter{
-		globalIdx:   map[sexp.Symbol]int{},
-		userDefined: map[sexp.Symbol]bool{},
+	return ClosureConvertAfter(&Prefix{}, p)
+}
+
+// Prefix is the closure converter's state after converting the leading
+// definitions of a program (the prelude): its global table, its
+// procedure count, and the GlobalSet expressions those definitions
+// contribute to the head of main. It is never written once built, so
+// one Prefix serves concurrent conversions.
+type Prefix struct {
+	nprocs int
+	// defs are main's leading GlobalSets; code generation annotates IR
+	// in place, so each conversion after the prefix clones them.
+	defs        []ir.Expr
+	globalIdx   map[sexp.Symbol]int
+	globalNames []sexp.Symbol
+	primGlobals []*prim.Def
+	userGlobals []bool
+	userDefined map[sexp.Symbol]bool
+}
+
+// ConvertPrefix closure-converts defs as the head of a program whose
+// later forms define or assign exactly the names in shadow among those
+// defs mention. A defined or assigned name is never open-coded anywhere
+// in the program, so shadow decides how defs compile. It returns the
+// prefix and the procedures of defs' lambdas, numbered from zero.
+func ConvertPrefix(defs []ast.Def, shadow []sexp.Symbol) (*Prefix, []*ir.Proc, error) {
+	cc := (&Prefix{}).converter()
+	markAssigned(&ast.Program{Defs: defs, Body: ast.Unspecified}, cc.userDefined)
+	for _, name := range shadow {
+		cc.userDefined[name] = true
 	}
-	for _, d := range p.Defs {
-		cc.userDefined[d.Name] = true
+	main := &procConverter{cc: cc, locals: map[*ast.Var]*ir.Var{}}
+	seq, err := main.convertDefs(defs, nil)
+	if err != nil {
+		return nil, nil, err
 	}
-	scanGlobalSets(p.Body, cc.userDefined)
-	for _, d := range p.Defs {
-		scanGlobalSets(d.Rhs, cc.userDefined)
+	if len(main.freeOrder) != 0 {
+		return nil, nil, fmt.Errorf("passes: top level has free variables: %v", main.freeOrder)
 	}
+	return &Prefix{
+		nprocs:      len(cc.procs),
+		defs:        seq,
+		globalIdx:   cc.globalIdx,
+		globalNames: cc.globalNames,
+		primGlobals: cc.primGlobals,
+		userGlobals: cc.userGlobals,
+		userDefined: cc.userDefined,
+	}, cc.procs, nil
+}
+
+// ClosureConvertAfter converts p as the continuation of pre's program:
+// global indices and procedure numbers carry on from pre's, and main
+// begins with pre's definitions. The result is ClosureConvert's for the
+// whole program, minus the prefix's procedures: its ProcBase is their
+// count. A name that pre's definitions mention without defining or
+// assigning it may be defined or assigned by p only if it is in the
+// shadow set pre was built with.
+func ClosureConvertAfter(pre *Prefix, p *ast.Program) (*ir.Program, error) {
+	cc := pre.converter()
+	markAssigned(p, cc.userDefined)
 
 	main := &procConverter{cc: cc, locals: map[*ast.Var]*ir.Var{}}
-	var seq []ir.Expr
-	for _, d := range p.Defs {
-		rhs, err := main.convert(d.Rhs, false)
-		if err != nil {
-			return nil, err
-		}
-		seq = append(seq, &ir.GlobalSet{Index: cc.globalIndex(d.Name), Name: d.Name, Rhs: rhs})
+	seq := make([]ir.Expr, 0, len(pre.defs)+len(p.Defs)+1)
+	for _, d := range pre.defs {
+		seq = append(seq, ir.Clone(d))
+	}
+	seq, err := main.convertDefs(p.Defs, seq)
+	if err != nil {
+		return nil, err
 	}
 	body, err := main.convert(p.Body, true)
 	if err != nil {
@@ -55,7 +106,8 @@ func ClosureConvert(p *ast.Program) (*ir.Program, error) {
 
 	prog := &ir.Program{
 		Procs:       cc.procs,
-		MainIndex:   len(cc.procs) - 1,
+		ProcBase:    pre.nprocs,
+		MainIndex:   pre.nprocs + len(cc.procs) - 1,
 		GlobalNames: cc.globalNames,
 		PrimGlobals: cc.primGlobals,
 		UserGlobals: cc.userGlobals,
@@ -63,44 +115,119 @@ func ClosureConvert(p *ast.Program) (*ir.Program, error) {
 	return prog, nil
 }
 
-// scanGlobalSets records every global name the program assigns, so that
-// a set! of a primitive name disables its open-coding everywhere.
-func scanGlobalSets(e ast.Expr, out map[sexp.Symbol]bool) {
+// converter starts a closure converter from pre's state. The tables are
+// copied, never appended to in place, because pre is shared.
+func (pre *Prefix) converter() *closureConverter {
+	cc := &closureConverter{
+		procBase:    pre.nprocs,
+		globalIdx:   maps.Clone(pre.globalIdx),
+		globalNames: slices.Clone(pre.globalNames),
+		primGlobals: slices.Clone(pre.primGlobals),
+		userGlobals: slices.Clone(pre.userGlobals),
+		userDefined: maps.Clone(pre.userDefined),
+	}
+	if cc.globalIdx == nil {
+		cc.globalIdx = map[sexp.Symbol]int{}
+	}
+	if cc.userDefined == nil {
+		cc.userDefined = map[sexp.Symbol]bool{}
+	}
+	return cc
+}
+
+// convertDefs appends the GlobalSet of each top-level definition to seq.
+func (pc *procConverter) convertDefs(defs []ast.Def, seq []ir.Expr) ([]ir.Expr, error) {
+	for _, d := range defs {
+		rhs, err := pc.convert(d.Rhs, false)
+		if err != nil {
+			return nil, err
+		}
+		seq = append(seq, &ir.GlobalSet{Index: pc.cc.globalIndex(d.Name), Name: d.Name, Rhs: rhs})
+	}
+	return seq, nil
+}
+
+// Assigned returns the global names p defines or assigns with set!.
+func Assigned(p *ast.Program) map[sexp.Symbol]bool {
+	out := map[sexp.Symbol]bool{}
+	markAssigned(p, out)
+	return out
+}
+
+// Mentioned returns every global name p refers to, defines or assigns.
+func Mentioned(p *ast.Program) map[sexp.Symbol]bool {
+	out := map[sexp.Symbol]bool{}
+	for _, d := range p.Defs {
+		out[d.Name] = true
+		scanGlobals(d.Rhs, nil, out)
+	}
+	scanGlobals(p.Body, nil, out)
+	return out
+}
+
+// markAssigned records every global name the program defines or
+// assigns, so that defining or set!-ing a primitive name disables its
+// open-coding everywhere.
+func markAssigned(p *ast.Program, out map[sexp.Symbol]bool) {
+	for _, d := range p.Defs {
+		out[d.Name] = true
+	}
+	scanGlobals(p.Body, out, nil)
+	for _, d := range p.Defs {
+		scanGlobals(d.Rhs, out, nil)
+	}
+}
+
+// scanGlobals adds the global names e assigns to assigned and, when
+// mentioned is non-nil, every global name e refers to or assigns to
+// mentioned.
+func scanGlobals(e ast.Expr, assigned, mentioned map[sexp.Symbol]bool) {
 	switch t := e.(type) {
+	case *ast.GlobalRef:
+		if mentioned != nil {
+			mentioned[t.Name] = true
+		}
 	case *ast.GlobalSet:
-		out[t.Name] = true
-		scanGlobalSets(t.Rhs, out)
+		if assigned != nil {
+			assigned[t.Name] = true
+		}
+		if mentioned != nil {
+			mentioned[t.Name] = true
+		}
+		scanGlobals(t.Rhs, assigned, mentioned)
 	case *ast.If:
-		scanGlobalSets(t.Test, out)
-		scanGlobalSets(t.Then, out)
-		scanGlobalSets(t.Else, out)
+		scanGlobals(t.Test, assigned, mentioned)
+		scanGlobals(t.Then, assigned, mentioned)
+		scanGlobals(t.Else, assigned, mentioned)
 	case *ast.Begin:
 		for _, x := range t.Exprs {
-			scanGlobalSets(x, out)
+			scanGlobals(x, assigned, mentioned)
 		}
 	case *ast.Lambda:
-		scanGlobalSets(t.Body, out)
+		scanGlobals(t.Body, assigned, mentioned)
 	case *ast.Let:
 		for _, x := range t.Inits {
-			scanGlobalSets(x, out)
+			scanGlobals(x, assigned, mentioned)
 		}
-		scanGlobalSets(t.Body, out)
+		scanGlobals(t.Body, assigned, mentioned)
 	case *ast.Letrec:
 		for _, x := range t.Inits {
-			scanGlobalSets(x, out)
+			scanGlobals(x, assigned, mentioned)
 		}
-		scanGlobalSets(t.Body, out)
+		scanGlobals(t.Body, assigned, mentioned)
 	case *ast.Set:
-		scanGlobalSets(t.Rhs, out)
+		scanGlobals(t.Rhs, assigned, mentioned)
 	case *ast.Call:
-		scanGlobalSets(t.Fn, out)
+		scanGlobals(t.Fn, assigned, mentioned)
 		for _, x := range t.Args {
-			scanGlobalSets(x, out)
+			scanGlobals(x, assigned, mentioned)
 		}
 	}
 }
 
 type closureConverter struct {
+	// procs are the procedures converted after the first procBase.
+	procBase    int
 	procs       []*ir.Proc
 	globalIdx   map[sexp.Symbol]int
 	globalNames []sexp.Symbol
@@ -243,7 +370,7 @@ func (pc *procConverter) convertLambda(t *ast.Lambda) (*ir.MakeClosure, error) {
 		proc.FreeNames = append(proc.FreeNames, string(fv.Name))
 	}
 	pc.cc.procs = append(pc.cc.procs, proc)
-	procIdx := len(pc.cc.procs) - 1
+	procIdx := pc.cc.procBase + len(pc.cc.procs) - 1
 
 	free := make([]ir.Expr, len(inner.freeOrder))
 	for i, fv := range inner.freeOrder {

@@ -29,7 +29,9 @@ var (
 	version     string
 )
 
-// Source is prepended to every program by both engines.
+// Source is the library every program runs after, compiled or
+// interpreted. It may only define: internal/compiler parses it once and
+// compiles it once per option set, then links user code onto it.
 const Source = `
 (define (not x) (if x #f #t))
 

@@ -302,6 +302,24 @@ func TestErrorTaxonomyOverHTTP(t *testing.T) {
 	}
 }
 
+// TestCompileSyntaxErrorPosition: a reader error's line and column
+// count from the start of the submitted source, not of the prelude the
+// compiler links it after.
+func TestCompileSyntaxErrorPosition(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	code, body := post(t, ts, "/v1/compile", CompileRequest{Source: "(define x 1)\n  (car"})
+	if code != KindParse.HTTPStatus() {
+		t.Fatalf("status = %d: %s", code, body)
+	}
+	var resp ErrorResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if want := "sexp: 2:7: unterminated list"; !strings.Contains(resp.Error.Message, want) {
+		t.Errorf("message = %q, want it to contain %q", resp.Error.Message, want)
+	}
+}
+
 // TestVerifyEndpointViolations: a program compiled under an option set
 // the verifier rejects must return the findings report with the
 // verify-failed status. (No such option set exists in the healthy

@@ -2,18 +2,21 @@ package srclint
 
 // The program-immutability analyzer: a go/types proof that no shipped
 // function outside an allowlisted constructor/decode set writes to
-// vm.Program fields or the elements of their backing slices. The VM's
+// vm.Program fields or the elements of their backing slices, nor to the
+// fields of the compiler's shared prelude fragments. The VM's
 // concurrency contract (DESIGN.md §11, vm/concurrent_test.go) is
 // "Program immutable after construction, Machine per-run": the service
 // cache hands one *Program to many concurrent Machines, and the
 // threaded engine's decode cache is built once and shared, so a single
 // post-construction write is a data race and a cache-coherence bug.
 // Until now only the race-detector tests spot-checked this; here it is
-// enforced over every assignment in the module.
+// enforced over every assignment in the module. The prelude fragments
+// (internal/compiler) are shared the same way: every compile under one
+// option set links onto one fragment, from any goroutine.
 //
 // What it proves: no assignment statement, ++/--, or copy() target in
 // any non-test function of the module has a left-hand side that reaches
-// a field of the target struct type (through any chain of selectors,
+// a field of a protected struct type (through any chain of selectors,
 // indexes, and dereferences), except inside allowlisted functions.
 //
 // What it deliberately cannot prove: writes through an alias created
@@ -29,22 +32,24 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"repro/internal/findings"
 )
 
-// ImmutabilityConfig names the protected type and its allowed writers.
+// ImmutabilityConfig names the protected types and their allowed
+// writers.
 type ImmutabilityConfig struct {
-	// Type is the protected struct type, fully qualified
+	// Types are the protected struct types, fully qualified
 	// ("repro/internal/vm.Program").
-	Type string
+	Types []string
 	// Allow lists functions permitted to write, by types.Func.FullName
 	// ("(*repro/internal/vm.Program).engine",
 	// "repro/internal/codegen.Compile"). A closure inherits the
 	// enclosing declaration's name.
 	Allow []string
 	// Forbid lists fully-qualified named types that must never be
-	// reachable from the protected type's fields through any chain of
+	// reachable from a protected type's fields through any chain of
 	// struct fields, pointers, slices, arrays, or maps. This is the
 	// static form of the arena-ownership contract: a prim.Arena is
 	// per-Machine mutable state, so a path from the shared Program to an
@@ -53,11 +58,13 @@ type ImmutabilityConfig struct {
 	Forbid []string
 }
 
-// DefaultImmutabilityConfig protects vm.Program. The only allowed
-// writer is the engine() decode-cache initializer, which is guarded by
-// sync.Once and therefore safe under the sharing contract. The codegen
-// constructor builds the Program in one composite literal and never
-// writes through it afterwards, so it needs no entry. The arena — and
+// DefaultImmutabilityConfig protects vm.Program and the prelude
+// fragment: the compiler's fragment and front-end records and the
+// closure-converter and code-generator prefixes they hold. The only
+// allowed writer is the engine() decode-cache initializer, which is
+// guarded by sync.Once and therefore safe under the sharing contract.
+// The constructors build each value in one composite literal and never
+// write through it afterwards, so they need no entry. The arena — and
 // with it the pair, closure, and free-variable-slice slabs — is
 // forbidden from being reachable at all: it belongs to exactly one
 // Machine. prim.Closure is forbidden separately because closure
@@ -66,7 +73,13 @@ type ImmutabilityConfig struct {
 // memory into shared state even without naming the Arena type.
 func DefaultImmutabilityConfig() ImmutabilityConfig {
 	return ImmutabilityConfig{
-		Type: "repro/internal/vm.Program",
+		Types: []string{
+			"repro/internal/vm.Program",
+			"repro/internal/compiler.front",
+			"repro/internal/compiler.fragment",
+			"repro/internal/passes.Prefix",
+			"repro/internal/codegen.Prefix",
+		},
 		Allow: []string{
 			"(*repro/internal/vm.Program).engine",
 			// The arena seeded-violation corpus hand-assembles Programs
@@ -105,8 +118,8 @@ func CheckImmutability(root string, pkgs []*Pkg, cfg ImmutabilityConfig) []findi
 }
 
 // checkReachability proves that none of cfg.Forbid is reachable from
-// the protected type's fields: it walks the field-type graph (structs,
-// pointers, slices, arrays, maps) breadth-first from the protected
+// the protected types' fields: it walks the field-type graph (structs,
+// pointers, slices, arrays, maps) breadth-first from each protected
 // struct and reports the access path to any forbidden type it reaches.
 // Interfaces are opaque to the walk (a dynamic value could hide
 // anything, but storing per-machine state behind an interface field of
@@ -122,13 +135,15 @@ func checkReachability(root string, pkgs []*Pkg, cfg ImmutabilityConfig) []findi
 	}
 	var fs []findings.Finding
 	for _, pkg := range pkgs {
-		named := lookupNamed(pkg, cfg.Type)
-		if named == nil {
-			continue
+		for _, typ := range cfg.Types {
+			named := lookupNamed(pkg, typ)
+			if named == nil {
+				continue
+			}
+			w := &reachWalk{root: root, pkg: pkg, forbidden: forbidden, seen: map[*types.Named]bool{}}
+			w.walkNamed(named, typ, named.Obj().Pos())
+			fs = append(fs, w.found...)
 		}
-		w := &reachWalk{root: root, pkg: pkg, forbidden: forbidden, seen: map[*types.Named]bool{}}
-		w.walkNamed(named, cfg.Type, named.Obj().Pos())
-		fs = append(fs, w.found...)
 	}
 	return fs
 }
@@ -200,7 +215,7 @@ func (w *reachWalk) walkType(t types.Type, path string, at token.Pos) {
 				Tool: "srclint", Kind: "arena-reachable",
 				File: file, Line: line,
 				PC: -1, Reg: -1, Slot: -1, CallPC: -1,
-				Msg: fmt.Sprintf("forbidden type %s.%s is reachable from the shared program as %s: per-machine mutable state must not hang off a type shared by concurrent machines",
+				Msg: fmt.Sprintf("forbidden type %s.%s is reachable from a shared type as %s: per-machine mutable state must not hang off a type shared by concurrent machines",
 					obj.Pkg().Path(), obj.Name(), path),
 			})
 			return
@@ -278,9 +293,9 @@ func (c *immutCheck) checkWrite(lhs ast.Expr, how string) {
 		case *ast.StarExpr:
 			lhs = e.X
 		case *ast.SelectorExpr:
-			if c.isProtected(e.X) {
+			if typ := c.protected(e.X); typ != "" {
 				if !c.allowed[c.fn] {
-					c.report(e, how, e.Sel.Name)
+					c.report(e, how, typ, e.Sel.Name)
 				}
 				return
 			}
@@ -291,12 +306,12 @@ func (c *immutCheck) checkWrite(lhs ast.Expr, how string) {
 	}
 }
 
-// isProtected reports whether expr's type is the protected struct type
-// (or a pointer to it).
-func (c *immutCheck) isProtected(expr ast.Expr) bool {
+// protected returns the protected struct type that expr's type is (or
+// points to), or "" when it is none of them.
+func (c *immutCheck) protected(expr ast.Expr) string {
 	tv, ok := c.pkg.Info.Types[expr]
 	if !ok {
-		return false
+		return ""
 	}
 	t := types.Unalias(tv.Type)
 	if p, ok := t.Underlying().(*types.Pointer); ok {
@@ -304,22 +319,26 @@ func (c *immutCheck) isProtected(expr ast.Expr) bool {
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return false
+		return ""
 	}
 	obj := named.Obj()
 	if obj.Pkg() == nil {
-		return false
+		return ""
 	}
-	return obj.Pkg().Path()+"."+obj.Name() == c.cfg.Type
+	name := obj.Pkg().Path() + "." + obj.Name()
+	if slices.Contains(c.cfg.Types, name) {
+		return name
+	}
+	return ""
 }
 
-func (c *immutCheck) report(sel *ast.SelectorExpr, how, field string) {
+func (c *immutCheck) report(sel *ast.SelectorExpr, how, typ, field string) {
 	file, line := position(c.root, c.pkg.Fset, sel.Pos())
 	c.found = append(c.found, findings.Finding{
 		Tool: "srclint", Kind: "program-mutation",
 		File: file, Line: line,
 		PC: -1, Reg: -1, Slot: -1, CallPC: -1,
-		Msg: fmt.Sprintf("%s %s field %s in %s: %s is immutable after construction (shared by concurrent machines and the decode cache); construct a fresh value or allowlist the function with a justification",
-			how, c.cfg.Type, field, c.fn, c.cfg.Type),
+		Msg: fmt.Sprintf("%s %s field %s in %s: %s is immutable after construction (shared across goroutines); construct a fresh value or allowlist the function with a justification",
+			how, typ, field, c.fn, typ),
 	})
 }

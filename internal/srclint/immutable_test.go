@@ -62,7 +62,7 @@ func readsOK(p *Program) int {
 
 func immutCfg() ImmutabilityConfig {
 	return ImmutabilityConfig{
-		Type:  "vmtest.Program",
+		Types: []string{"vmtest.Program"},
 		Allow: []string{"(*vmtest.Program).engine"},
 	}
 }
@@ -190,6 +190,63 @@ type Node struct {
 	cfg.Forbid = []string{"vmtest.Arena"}
 	if fs := checkImmutSrc(t, src, cfg); len(fs) != 0 {
 		t.Fatalf("cyclic layout flagged: %+v", fs)
+	}
+}
+
+// TestImmutabilityFragment seeds writes to a shared prelude fragment:
+// the layout mirrors the compiler's, a fragment record holding a
+// code-generator prefix, and every write through either is caught,
+// including a map-entry write through the prefix's dedup index and an
+// append that would reuse the prefix's backing array.
+func TestImmutabilityFragment(t *testing.T) {
+	src := `package vmtest
+
+type Prefix struct {
+	code     []uint32
+	constIdx map[int]int
+	unspec   int
+}
+
+type fragment struct {
+	code *Prefix
+}
+
+func newFragment() *fragment {
+	return &fragment{code: &Prefix{constIdx: map[int]int{}, unspec: -1}}
+}
+
+func linkIndexes(f *fragment) {
+	f.code.constIdx[3] = 1
+}
+
+func linkAppend(f *fragment, in uint32) {
+	f.code.code = append(f.code.code, in)
+}
+
+func swapPrefix(f *fragment) {
+	f.code = nil
+}
+
+func linkReads(f *fragment) []uint32 {
+	out := make([]uint32, len(f.code.code))
+	copy(out, f.code.code)
+	return out
+}
+`
+	cfg := ImmutabilityConfig{Types: []string{"vmtest.fragment", "vmtest.Prefix"}}
+	fs := checkImmutSrc(t, src, cfg)
+	want := []string{
+		"vmtest.Prefix field constIdx in vmtest.linkIndexes",
+		"vmtest.Prefix field code in vmtest.linkAppend",
+		"vmtest.fragment field code in vmtest.swapPrefix",
+	}
+	if len(fs) != len(want) {
+		t.Fatalf("got %d findings, want %d: %+v", len(fs), len(want), fs)
+	}
+	for i, w := range want {
+		if fs[i].Kind != "program-mutation" || !strings.Contains(fs[i].Msg, w) {
+			t.Errorf("finding %d = %s %q, want program-mutation naming %q", i, fs[i].Kind, fs[i].Msg, w)
+		}
 	}
 }
 

@@ -71,9 +71,28 @@ func leakSeeded() *int {
 		"type Program struct {",
 		"type Program struct {\n\tSeededArena *prim.Arena // seeded violation\n\tSeededBoot *prim.Closure // seeded violation\n")
 
+	// Violation 5 (program mutation): a write to the shared prelude
+	// fragment's code-generator prefix.
+	seed(t, filepath.Join(tmp, "internal/compiler/zz_seeded.go"), `package compiler
+
+// corruptFragment writes a shared fragment's field (seeded violation).
+func corruptFragment(f *fragment) {
+	f.code = nil
+}
+`)
+
 	res, err := Run(DefaultOptions(tmp))
 	if err != nil {
 		t.Fatal(err)
+	}
+	fragmentCaught := false
+	for _, f := range res.Findings {
+		if f.Kind == "program-mutation" && strings.Contains(f.Msg, "repro/internal/compiler.fragment field code in repro/internal/compiler.corruptFragment") {
+			fragmentCaught = true
+		}
+	}
+	if !fragmentCaught {
+		t.Error("seeded write to a prelude fragment not detected")
 	}
 	want := map[string]bool{
 		"missing-switch-case": false,
