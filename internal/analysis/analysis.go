@@ -6,7 +6,7 @@
 // calls, and these checks make the minimality claims machine-checkable
 // per compilation. It runs over the same per-procedure extents as the
 // verifier, reuses the vm.InstrEffects def-use decoder and the
-// verifier's PathFinder witness machinery, and reports:
+// dataflow.Graph witness searches the verifier uses, and reports:
 //
 //   - redundant-save: a frame save whose slot is never read on any
 //     path before the frame dies — work a lazy save placement should

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/codegen"
-	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/passes"
 	"repro/internal/prelude"
@@ -200,6 +199,3 @@ func CompileTimeStudy(progs []*Program, repeats int) (string, error) {
 	b.WriteString("(paper: register allocation ≈ 7% of compile time; our back end includes instruction emission)\n")
 	return b.String(), nil
 }
-
-// Quick compile check used by tests.
-var _ = compiler.DefaultOptions

@@ -2,6 +2,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/ir"
@@ -9,12 +10,15 @@ import (
 	"repro/internal/regset"
 )
 
-// analyzer is pass 1 of §3.1: a single bottom-up walk per procedure that
-// simultaneously performs greedy shuffling, computes variable liveness
-// (as register sets), computes S_t[E]/S_f[E], computes the "possibly
-// referenced before the next call" sets for pass 2's eager restores, and
-// records the save placement for the selected strategy as annotations on
-// the IR.
+// analyzer is pass 1 of §3.1. A bottom-up fact walk (scan) first fixes
+// every argument list's evaluation order and records which arguments
+// contain calls and which registers they read. A single walk per
+// procedure then, following those orders, simultaneously performs
+// greedy shuffling, computes variable liveness (as register sets),
+// computes S_t[E]/S_f[E], computes the "possibly referenced before the
+// next call" sets for pass 2's eager restores, and records the save
+// placement for the selected strategy as annotations on the IR. Pass 2
+// follows the recorded orders and facts; neither pass re-derives them.
 type analyzer struct {
 	cg *codegen
 	// r is the register universe R.
@@ -52,15 +56,52 @@ func seqSynth(first, second synth) synth {
 	}
 }
 
+// seqFold accumulates the synthesized sets of an evaluation sequence
+// walked from its last expression back to its first. seqSynth is
+// associative and the leaf sets are its left identity, so prepending
+// yields exactly the left-to-right fold from the leaf sets.
+type seqFold struct {
+	s   synth
+	any bool
+}
+
+// prepend walks e, evaluated just before the expressions already
+// folded, given the state after it, and returns the state before it.
+func (f *seqFold) prepend(a *analyzer, e ir.Expr, after flow) flow {
+	before, s := a.walk(e, after)
+	if f.any {
+		s = seqSynth(s, f.s)
+	}
+	f.s, f.any = s, true
+	return before
+}
+
+// prependOrder prepends args[order[0]], args[order[1]], … — an
+// evaluation order — walking them from the last back to the first.
+func (f *seqFold) prependOrder(a *analyzer, args []ir.Expr, order []int, after flow) flow {
+	for i := len(order) - 1; i >= 0; i-- {
+		after = f.prepend(a, args[order[i]], after)
+	}
+	return after
+}
+
+func (f *seqFold) result() synth {
+	if !f.any {
+		return synth{sets: core.LeafSets()}
+	}
+	return f.s
+}
+
 // analyzeProc runs pass 1 over one procedure and returns its entry save
 // set.
 func (cg *codegen) analyzeProc(p *ir.Proc) regset.Set {
 	a := &analyzer{cg: cg, r: regset.Universe(cg.opts.Config.NumRegs())}
+	calls, _ := a.scan(p.Body)
+	p.SyntacticLeaf = !calls
 	// At procedure exit, ret is referenced (by the return instruction).
 	exit := flow{live: regset.Single(retReg), refs: regset.Single(retReg)}
 	_, s := a.walk(p.Body, exit)
 
-	p.SyntacticLeaf = !ir.HasCalls(p.Body)
 	// §2.4: a call is inevitable iff ret must be saved on every path.
 	p.CallInevitable = s.sets.Save().Has(retReg)
 
@@ -119,16 +160,12 @@ func (a *analyzer) walk(e ir.Expr, after flow) (flow, synth) {
 		return a.walk(t.Rhs, after)
 
 	case *ir.Seq:
-		s := synth{sets: core.LeafSets()}
+		var f seqFold
 		cur := after
-		synths := make([]synth, len(t.Exprs))
 		for i := len(t.Exprs) - 1; i >= 0; i-- {
-			cur, synths[i] = a.walk(t.Exprs[i], cur)
+			cur = f.prepend(a, t.Exprs[i], cur)
 		}
-		for _, si := range synths {
-			s = seqSynth(s, si)
-		}
-		return cur, s
+		return cur, f.result()
 
 	case *ir.If:
 		t.LiveAfter = after.live
@@ -204,7 +241,9 @@ func (a *analyzer) walk(e ir.Expr, after flow) (flow, synth) {
 		return rhsFlow, seqSynth(rhsS, bodyS)
 
 	case *ir.PrimCall:
-		return a.walkOrdered(primArgOrder(t.Args), after)
+		var f seqFold
+		before := f.prependOrder(a, t.Args, t.Order.Index, after)
+		return before, f.result()
 
 	case *ir.MakeClosure:
 		cur := after
@@ -263,106 +302,123 @@ func (a *analyzer) walk(e ir.Expr, after flow) (flow, synth) {
 	}
 }
 
-// walkOrdered analyzes a list of expressions in the given emission
-// order.
-func (a *analyzer) walkOrdered(order []ir.Expr, after flow) (flow, synth) {
-	cur := after
-	synths := make([]synth, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		cur, synths[i] = a.walk(order[i], cur)
-	}
-	s := synth{sets: core.LeafSets()}
-	for _, si := range synths {
-		s = seqSynth(s, si)
-	}
-	return cur, s
-}
-
-// primArgOrder is the evaluation order the emitter uses for primitive
-// arguments: call-containing arguments first (their results go to frame
-// temporaries), then the simple arguments.
-func primArgOrder(args []ir.Expr) []ir.Expr {
-	order := make([]ir.Expr, 0, len(args))
-	for _, x := range args {
-		if ir.HasCalls(x) {
-			order = append(order, x)
-		}
-	}
-	for _, x := range args {
-		if !ir.HasCalls(x) {
-			order = append(order, x)
-		}
-	}
-	return order
-}
-
-// regReads collects the registers whose current values an expression
-// reads (home registers of referenced variables, plus cp for free-variable
-// access). Used to build shuffle dependency graphs.
-func regReads(e ir.Expr) regset.Set {
+// scan is pass 1's fact walk. It reports whether e contains a non-tail
+// call and which registers' current values e reads: home registers of
+// referenced variables, cp for free-variable access, and ret for a tail
+// call or call/cc. A tail call is a jump (paper footnote 1), but calls
+// nested in its operator or arguments still count; a closure record
+// counts as call-free. On the way up it records, for every primitive
+// and call below e, the argument evaluation order and (for calls) the
+// shuffle problem, so each node is visited once per procedure.
+func (a *analyzer) scan(e ir.Expr) (calls bool, reads regset.Set) {
 	switch t := e.(type) {
 	case *ir.Const, *ir.GlobalRef:
-		return regset.Empty
+		return false, regset.Empty
 	case *ir.VarRef:
 		if t.Var.Loc.Kind == ir.LocReg {
-			return regset.Single(t.Var.Loc.Index)
+			return false, regset.Single(t.Var.Loc.Index)
 		}
-		return regset.Empty
+		return false, regset.Empty
 	case *ir.FreeRef:
-		return regset.Single(cpReg)
+		return false, regset.Single(cpReg)
 	case *ir.GlobalSet:
-		return regReads(t.Rhs)
+		return a.scan(t.Rhs)
 	case *ir.If:
-		return regReads(t.Test).Union(regReads(t.Then)).Union(regReads(t.Else))
+		c1, r1 := a.scan(t.Test)
+		c2, r2 := a.scan(t.Then)
+		c3, r3 := a.scan(t.Else)
+		return c1 || c2 || c3, r1.Union(r2).Union(r3)
 	case *ir.Seq:
-		s := regset.Empty
-		for _, x := range t.Exprs {
-			s = s.Union(regReads(x))
-		}
-		return s
+		return a.scanList(t.Exprs)
 	case *ir.Bind:
-		s := regReads(t.Rhs).Union(regReads(t.Body))
+		c1, r1 := a.scan(t.Rhs)
+		c2, r2 := a.scan(t.Body)
+		s := r1.Union(r2)
 		if t.Var.Loc.Kind == ir.LocReg {
 			// The bound register is defined before any read of it within
 			// the body, so it is not a read of the *current* value; but
 			// its definition also means the body's reads of it are not
 			// outer reads. Conservatively keep other reads.
-			s = s.Remove(t.Var.Loc.Index)
-			s = s.Union(regReads(t.Rhs))
+			s = s.Remove(t.Var.Loc.Index).Union(r1)
 		}
-		return s
+		return c1 || c2, s
 	case *ir.PrimCall:
-		s := regset.Empty
-		for _, x := range t.Args {
-			s = s.Union(regReads(x))
-		}
-		return s
+		return a.order(&t.Order, t.Args, 0)
 	case *ir.Call:
-		s := regReads(t.Fn)
-		for _, x := range t.Args {
-			s = s.Union(regReads(x))
+		cfg := a.cg.opts.Config
+		nreg := min(len(t.Args), cfg.ArgRegs)
+		// The shuffle problem: register arguments plus the operator
+		// (targeting cp).
+		sargs := make([]core.ShuffleArg, 0, nreg+1)
+		calls, reads = a.order(&t.StackOrder, t.Args, nreg)
+		calls = calls || !t.Tail
+		for i := 0; i <= nreg; i++ {
+			target, x := cpReg, t.Fn
+			if i < nreg {
+				target, x = cfg.ArgReg(i), t.Args[i]
+			}
+			c, r := a.scan(x)
+			sargs = append(sargs, core.ShuffleArg{Target: target, Reads: r, Complex: c})
+			calls, reads = calls || c, reads.Union(r)
 		}
+		t.ShuffleArgs = sargs
 		if t.CallCC || t.Tail {
-			s = s.Add(retReg)
+			reads = reads.Add(retReg)
 		}
-		return s
+		return calls, reads
 	case *ir.MakeClosure:
-		s := regset.Empty
-		for _, x := range t.Free {
-			s = s.Union(regReads(x))
-		}
-		return s
+		_, reads = a.scanList(t.Free)
+		return false, reads
 	case *ir.Fix:
-		s := regReads(t.Body)
+		calls, reads = a.scan(t.Body)
 		for _, c := range t.Closures {
-			s = s.Union(regReads(c))
+			_, r := a.scan(c)
+			reads = reads.Union(r)
 		}
-		return s
+		return calls, reads
 	case *ir.Save:
-		return regReads(t.Body)
+		return a.scan(t.Body)
 	default:
-		panic(fmt.Sprintf("codegen: regReads: unknown expression %T", e))
+		panic(fmt.Sprintf("codegen: scan: unknown expression %T", e))
 	}
+}
+
+func (a *analyzer) scanList(es []ir.Expr) (calls bool, reads regset.Set) {
+	for _, x := range es {
+		c, r := a.scan(x)
+		calls, reads = calls || c, reads.Union(r)
+	}
+	return calls, reads
+}
+
+// order scans args[from:] and records their evaluation order in o:
+// call-containing arguments first, since their calls would destroy any
+// argument value already held in a register, then the call-free ones,
+// each group in source order.
+func (a *analyzer) order(o *ir.ArgOrder, args []ir.Expr, from int) (calls bool, reads regset.Set) {
+	n := len(args) - from
+	if n <= 0 {
+		*o = ir.ArgOrder{}
+		return false, regset.Empty
+	}
+	// Call-containing positions fill idx from the front, call-free ones
+	// from the back; reversing the back part restores source order.
+	idx := make([]int, n)
+	nc, ns := 0, n
+	for i := from; i < len(args); i++ {
+		c, r := a.scan(args[i])
+		if c {
+			idx[nc] = i
+			nc++
+		} else {
+			ns--
+			idx[ns] = i
+		}
+		calls, reads = calls || c, reads.Union(r)
+	}
+	slices.Reverse(idx[nc:])
+	*o = ir.ArgOrder{Index: idx, NCalls: nc}
+	return calls, reads
 }
 
 // walkCall handles pass 1 at a call site: shuffle planning, liveness,
@@ -381,28 +437,10 @@ func (a *analyzer) walkCall(t *ir.Call, after flow) (flow, synth) {
 	t.LiveAfter = after.live
 	t.RefsAfter = after.refs
 
-	// Build the shuffle problem: register arguments plus the operator
-	// (targeting cp).
-	nreg := len(t.Args)
-	if nreg > cfg.ArgRegs {
-		nreg = cfg.ArgRegs
-	}
-	sargs := make([]core.ShuffleArg, 0, nreg+1)
-	exprs := make([]ir.Expr, 0, nreg+1)
-	for i := 0; i < nreg; i++ {
-		sargs = append(sargs, core.ShuffleArg{
-			Target:  cfg.ArgReg(i),
-			Reads:   regReads(t.Args[i]),
-			Complex: ir.HasCalls(t.Args[i]),
-		})
-		exprs = append(exprs, t.Args[i])
-	}
-	sargs = append(sargs, core.ShuffleArg{
-		Target:  cpReg,
-		Reads:   regReads(t.Fn),
-		Complex: ir.HasCalls(t.Fn),
-	})
-	exprs = append(exprs, t.Fn)
+	// The shuffle problem (register arguments plus the operator) was
+	// recorded by scan.
+	sargs := t.ShuffleArgs
+	nreg := len(sargs) - 1
 
 	// Free argument registers usable as shuffle temporaries: not
 	// targeted by this call and not read by any argument.
@@ -423,7 +461,6 @@ func (a *analyzer) walkCall(t *ir.Call, after flow) (flow, synth) {
 	default:
 		plan = core.GreedyShuffle(sargs, freeTemps)
 	}
-	t.ShuffleArgs = sargs
 	t.Plan = plan
 
 	st := &a.cg.stats
@@ -445,32 +482,23 @@ func (a *analyzer) walkCall(t *ir.Call, after flow) (flow, synth) {
 		}
 	}
 
-	// The emission order of the argument expressions: complex stack
-	// arguments (to temps), simple stack arguments (stored or staged
-	// before the shuffle can clobber the registers they read), then the
-	// shuffle plan's steps.
-	order := make([]ir.Expr, 0, len(t.Args)+1)
-	for i := cfg.ArgRegs; i < len(t.Args); i++ {
-		if ir.HasCalls(t.Args[i]) {
-			order = append(order, t.Args[i])
-		}
-	}
-	for i := cfg.ArgRegs; i < len(t.Args); i++ {
-		if !ir.HasCalls(t.Args[i]) {
-			order = append(order, t.Args[i])
-		}
-	}
-	for _, step := range plan.Steps {
-		order = append(order, exprs[step.Arg])
-	}
-
+	// The emission order of the argument expressions: the stack
+	// arguments in their recorded order (call-containing ones to temps,
+	// then call-free ones stored or staged before the shuffle can
+	// clobber the registers they read), then the shuffle plan's steps.
 	seed := flow{live: t.LiveAfter}
 	if effTail || t.CallCC {
 		// The tail transfer passes ret through; the capture reads ret.
 		seed.live = seed.live.Add(retReg)
 		seed.refs = seed.refs.Add(retReg)
 	}
-	before, argsS := a.walkOrdered(order, seed)
+	var f seqFold
+	before := seed
+	for i := len(plan.Steps) - 1; i >= 0; i-- {
+		before = f.prepend(a, t.ShuffleExpr(plan.Steps[i].Arg), before)
+	}
+	before = f.prependOrder(a, t.Args, t.StackOrder.Index, before)
+	argsS := f.result()
 
 	s := argsS
 	if !effTail {

@@ -1,12 +1,15 @@
 package codegen
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/ir"
 	"repro/internal/passes"
+	"repro/internal/prim"
+	"repro/internal/regset"
 	"repro/internal/vm"
 )
 
@@ -222,6 +225,8 @@ func TestLateStrategyAnnotatesCalls(t *testing.T) {
 	}
 }
 
+// TestRegReads checks scan's register-read fact and its record on the
+// shuffle problem.
 func TestRegReads(t *testing.T) {
 	prog := build(t, `
 (define (f a b)
@@ -233,13 +238,131 @@ func TestRegReads(t *testing.T) {
 	aReg := f.Params[0].Loc.Index
 	bReg := f.Params[1].Loc.Index
 	call := findCall(f.Body) // outermost (tail) call to g
-	reads := regReads(call)
+	a := &analyzer{cg: cg}
+	_, reads := a.scan(call)
 	if !reads.Has(aReg) || !reads.Has(bReg) {
 		t.Errorf("call reads %s, want a (r%d) and b (r%d)", reads, aReg, bReg)
 	}
 	// Tail calls read ret.
 	if !reads.Has(retReg) {
 		t.Errorf("tail call should read ret: %s", reads)
+	}
+	// Each shuffle argument carries its own reads and call-ness.
+	if sa := call.ShuffleArgs[0]; sa.Reads != regset.Single(aReg) || sa.Complex {
+		t.Errorf("(+ a 1): reads %s complex %v, want {r%d} false", sa.Reads, sa.Complex, aReg)
+	}
+	if sa := call.ShuffleArgs[1]; sa.Reads != regset.Single(bReg) || !sa.Complex {
+		t.Errorf("(h b): reads %s complex %v, want {r%d} true", sa.Reads, sa.Complex, bReg)
+	}
+
+	// A binder hides the body's reads of its register, unless its own
+	// right-hand side reads that register (the conservative rule).
+	x := regVar("x", 3)
+	y, yShadow := regVar("y", 4), regVar("y0", 4)
+	body := &ir.PrimCall{Args: []ir.Expr{&ir.VarRef{Var: x}, &ir.VarRef{Var: y}}}
+	for _, c := range []struct {
+		rhs  ir.Expr
+		want regset.Set
+	}{
+		{&ir.Const{Value: prim.FixV(1)}, regset.Of(3)},
+		{&ir.VarRef{Var: yShadow}, regset.Of(3, 4)},
+	} {
+		if _, got := a.scan(&ir.Bind{Var: y, Rhs: c.rhs, Body: body}); got != c.want {
+			t.Errorf("bind y %s: reads %s, want %s", ir.Print(c.rhs), got, c.want)
+		}
+	}
+}
+
+func regVar(name string, reg int) *ir.Var {
+	return &ir.Var{Name: name, Loc: ir.Loc{Kind: ir.LocReg, Index: reg}, SaveSlot: -1, CSReg: -1}
+}
+
+// TestCallFacts checks scan's call-ness fact on every expression form.
+// A tail call is a jump, but calls nested in its arguments count; a
+// closure record is call-free.
+func TestCallFacts(t *testing.T) {
+	x := regVar("x", 3)
+	call := &ir.Call{Fn: &ir.GlobalRef{Name: "f"}, Args: []ir.Expr{&ir.VarRef{Var: x}}}
+	tail := &ir.Call{Fn: &ir.GlobalRef{Name: "f"}, Tail: true}
+
+	cases := []struct {
+		name string
+		e    ir.Expr
+		want bool
+	}{
+		{"const", &ir.Const{Value: prim.FixV(1)}, false},
+		{"var", &ir.VarRef{Var: x}, false},
+		{"call", call, true},
+		{"tail-call-alone", tail, false},
+		{"call-inside-tail-args", &ir.Call{Fn: &ir.GlobalRef{Name: "g"}, Args: []ir.Expr{call}, Tail: true}, true},
+		{"call-as-tail-operator", &ir.Call{Fn: call, Tail: true}, true},
+		{"seq", &ir.Seq{Exprs: []ir.Expr{&ir.Const{Value: prim.FixV(1)}, call}}, true},
+		{"if-no-calls", &ir.If{Test: &ir.VarRef{Var: x}, Then: &ir.VarRef{Var: x}, Else: &ir.VarRef{Var: x}}, false},
+		{"if-one-arm", &ir.If{Test: &ir.VarRef{Var: x}, Then: call, Else: &ir.VarRef{Var: x}}, true},
+		{"bind-rhs", &ir.Bind{Var: x, Rhs: call, Body: &ir.VarRef{Var: x}}, true},
+		{"prim-args", &ir.PrimCall{Args: []ir.Expr{call}}, true},
+		{"closure", &ir.MakeClosure{ProcIndex: 0, Free: nil}, false},
+		{"global-set", &ir.GlobalSet{Rhs: call}, true},
+		{"fix-body", &ir.Fix{Vars: []*ir.Var{x}, Closures: []*ir.MakeClosure{{}}, Body: call, SaveVars: []bool{false}}, true},
+		{"save", &ir.Save{Body: call}, true},
+	}
+	a := &analyzer{cg: &codegen{opts: DefaultOptions()}}
+	for _, c := range cases {
+		if got, _ := a.scan(c.e); got != c.want {
+			t.Errorf("%s: calls = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestArgOrder checks the evaluation orders scan records: call-containing
+// arguments first, then call-free ones, each group in source order.
+func TestArgOrder(t *testing.T) {
+	x := regVar("x", 3)
+	call := func() ir.Expr { return &ir.Call{Fn: &ir.GlobalRef{Name: "f"}} }
+	simple := func() ir.Expr { return &ir.VarRef{Var: x} }
+	cg := &codegen{opts: Options{Config: vm.Config{ArgRegs: 1, UserRegs: 2, ScratchRegs: 8}}}
+	a := &analyzer{cg: cg}
+
+	p := &ir.PrimCall{Args: []ir.Expr{simple(), call(), simple(), call()}}
+	a.scan(p)
+	if got := p.Order; !slices.Equal(got.Calls(), []int{1, 3}) || !slices.Equal(got.Simple(), []int{0, 2}) {
+		t.Errorf("primitive order %v (%d calls), want calls [1 3] then [0 2]", got.Index, got.NCalls)
+	}
+
+	// One register argument; the rest go on the stack.
+	c := &ir.Call{Fn: call(), Args: []ir.Expr{call(), simple(), call(), simple()}, Tail: true}
+	a.scan(c)
+	if got := c.StackOrder; !slices.Equal(got.Calls(), []int{2}) || !slices.Equal(got.Simple(), []int{1, 3}) {
+		t.Errorf("stack order %v (%d calls), want calls [2] then [1 3]", got.Index, got.NCalls)
+	}
+	if len(c.ShuffleArgs) != 2 || !c.ShuffleArgs[0].Complex || !c.ShuffleArgs[1].Complex ||
+		c.ShuffleArgs[1].Target != cpReg || c.ShuffleExpr(1) != c.Fn {
+		t.Errorf("shuffle problem %+v: want the call argument then the operator targeting cp", c.ShuffleArgs)
+	}
+
+	leaf := &ir.PrimCall{}
+	a.scan(leaf)
+	if len(leaf.Order.Index) != 0 {
+		t.Errorf("nullary primitive order %v, want empty", leaf.Order.Index)
+	}
+}
+
+// TestSyntacticLeaf: a procedure is a syntactic leaf when its body makes
+// no non-tail call; a lone tail call does not count.
+func TestSyntacticLeaf(t *testing.T) {
+	prog := build(t, `
+(define (leaf x) (+ x 1))
+(define (internal x) (leaf (leaf x)))
+(define (tail-only x) (leaf x))
+(leaf 1)`)
+	for name, want := range map[string]bool{"leaf": true, "internal": false, "tail-only": true} {
+		cg := &codegen{opts: DefaultOptions()}
+		p := procByName(t, prog, name)
+		cg.assignLocations(p)
+		cg.analyzeProc(p)
+		if p.SyntacticLeaf != want {
+			t.Errorf("%s: SyntacticLeaf = %v, want %v", name, p.SyntacticLeaf, want)
+		}
 	}
 }
 

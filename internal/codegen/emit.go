@@ -294,10 +294,6 @@ func (em *emitter) shuffleAssigns(t *ir.Call) []vm.ShuffleAssign {
 	if len(t.ShuffleArgs) == 0 {
 		return nil
 	}
-	nreg := len(t.Args)
-	if nreg > em.cfg.ArgRegs {
-		nreg = em.cfg.ArgRegs
-	}
 	var out []vm.ShuffleAssign
 	record := func(e ir.Expr, target int) {
 		vr, ok := e.(*ir.VarRef)
@@ -322,10 +318,9 @@ func (em *emitter) shuffleAssigns(t *ir.Call) []vm.ShuffleAssign {
 			}
 		}
 	}
-	for i := 0; i < nreg; i++ {
-		record(t.Args[i], t.ShuffleArgs[i].Target)
+	for k, sa := range t.ShuffleArgs {
+		record(t.ShuffleExpr(k), sa.Target)
 	}
-	record(t.Fn, t.ShuffleArgs[len(t.ShuffleArgs)-1].Target)
 	return out
 }
 
@@ -592,21 +587,18 @@ func (em *emitter) emitPrim(t *ir.PrimCall, dst int) {
 	mark := em.nextTemp
 	operands := make([]int, len(t.Args))
 	releases := make([]func(), 0, len(t.Args))
-	// Call-containing arguments first, into frame temporaries.
-	for i, a := range t.Args {
-		if ir.HasCalls(a) {
-			em.emitExpr(a, vm.RegRV)
-			tmp := em.allocTemp()
-			cg.emit(vm.Instr{Op: vm.OpStoreSlot, A: vm.RegRV, B: tmp, Kind: vm.KindTemp})
-			operands[i] = ^tmp
-		}
+	// Pass 1's order: call-containing arguments into frame temporaries,
+	// then the rest as operands.
+	for _, i := range t.Order.Calls() {
+		em.emitExpr(t.Args[i], vm.RegRV)
+		tmp := em.allocTemp()
+		cg.emit(vm.Instr{Op: vm.OpStoreSlot, A: vm.RegRV, B: tmp, Kind: vm.KindTemp})
+		operands[i] = ^tmp
 	}
-	for i, a := range t.Args {
-		if !ir.HasCalls(a) {
-			op, release := em.operand(a)
-			operands[i] = op
-			releases = append(releases, release)
-		}
+	for _, i := range t.Order.Simple() {
+		op, release := em.operand(t.Args[i])
+		operands[i] = op
+		releases = append(releases, release)
 	}
 	if dst < 0 {
 		dst = em.spillReg()
@@ -763,21 +755,12 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 	}
 
 	mark := em.nextTemp
-	nreg := len(t.Args)
-	if nreg > cfg.ArgRegs {
-		nreg = cfg.ArgRegs
-	}
-	exprs := make([]ir.Expr, 0, nreg+1)
-	for i := 0; i < nreg; i++ {
-		exprs = append(exprs, t.Args[i])
-	}
-	exprs = append(exprs, t.Fn)
 
 	// Stack arguments are evaluated before the register shuffle (they
-	// may read argument registers the shuffle is about to overwrite).
-	// Complex ones go to temporaries first; simple ones are stored
-	// directly when no call can intervene before the transfer, and
-	// staged through temporaries otherwise.
+	// may read argument registers the shuffle is about to overwrite), in
+	// pass 1's order. Complex ones go to temporaries first; simple ones
+	// are stored directly when no call can intervene before the
+	// transfer, and staged through temporaries otherwise.
 	nStackArgs := max(0, len(t.Args)-cfg.ArgRegs)
 	if effTail && nStackArgs > 0 {
 		// Staging temporaries must lie above every target slot so the
@@ -796,20 +779,16 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 		}
 	}
 	stackTemps := map[int]int{}
-	for i := cfg.ArgRegs; i < len(t.Args); i++ {
-		if ir.HasCalls(t.Args[i]) {
-			em.emitExpr(t.Args[i], vm.RegRV)
-			tmp := em.allocTemp()
-			cg.emit(vm.Instr{Op: vm.OpStoreSlot, A: vm.RegRV, B: tmp, Kind: vm.KindTemp})
-			stackTemps[i] = tmp
-		}
+	for _, i := range t.StackOrder.Calls() {
+		em.emitExpr(t.Args[i], vm.RegRV)
+		tmp := em.allocTemp()
+		cg.emit(vm.Instr{Op: vm.OpStoreSlot, A: vm.RegRV, B: tmp, Kind: vm.KindTemp})
+		stackTemps[i] = tmp
 	}
-	for i := cfg.ArgRegs; i < len(t.Args); i++ {
-		if ir.HasCalls(t.Args[i]) {
-			continue
-		}
+	simple := t.StackOrder.Simple()
+	for n, i := range simple {
 		k := i - cfg.ArgRegs
-		if em.stackArgDirect(t, i, k, effTail, planHasCall) {
+		if em.stackArgDirect(t, simple[n+1:], k, effTail, planHasCall) {
 			r, release := em.operandReg(t.Args[i])
 			if effTail {
 				cg.emit(vm.Instr{Op: vm.OpStoreSlot, A: r, B: k, Kind: vm.KindArg})
@@ -838,7 +817,7 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 	argTemps := map[int]int{}
 	argCS := map[int]int{}
 	for _, step := range t.Plan.Steps {
-		expr := exprs[step.Arg]
+		expr := t.ShuffleExpr(step.Arg)
 		target := t.ShuffleArgs[step.Arg].Target
 		if step.Dest != core.DestTarget {
 			if cs, ok := em.csShadowSource(expr); ok {
@@ -856,7 +835,7 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 			em.emitExpr(expr, step.TempReg)
 			em.repurposed = em.repurposed.Add(step.TempReg)
 		case core.DestStackTemp:
-			if ir.HasCalls(expr) {
+			if t.ShuffleArgs[step.Arg].Complex {
 				em.emitExpr(expr, vm.RegRV)
 				tmp := em.allocTemp()
 				cg.emit(vm.Instr{Op: vm.OpStoreSlot, A: vm.RegRV, B: tmp, Kind: vm.KindTemp})
@@ -972,38 +951,29 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 	}
 }
 
-// stackArgDirect reports whether stack argument i (target slot k of the
-// callee frame) can be stored directly instead of staged via a
-// temporary. For non-tail calls the outgoing area lies beyond our frame,
-// so a direct store is safe unless a call in the shuffle plan would push
-// a nested frame over it. For tail calls the target overlaps our own
+// stackArgDirect reports whether a simple stack argument (target slot
+// k of the callee frame) can be stored directly instead of staged via a
+// temporary; later lists the simple stack arguments evaluated after it.
+// For non-tail calls the outgoing area lies beyond our frame, so a
+// direct store is safe unless a call in the shuffle plan would push a
+// nested frame over it. For tail calls the target overlaps our own
 // frame: the slot must lie within the incoming-parameter area (below the
 // local/save/temp slots a nested call's restores might read) and must
 // not be read by anything evaluated later.
-func (em *emitter) stackArgDirect(t *ir.Call, i, k int, effTail, planHasCall bool) bool {
+func (em *emitter) stackArgDirect(t *ir.Call, later []int, k int, effTail, planHasCall bool) bool {
 	if !effTail {
 		return !planHasCall
 	}
 	if k >= em.stackParams {
 		return false
 	}
-	cfg := em.cfg
-	for j := i + 1; j < len(t.Args); j++ {
-		if j >= cfg.ArgRegs && !ir.HasCalls(t.Args[j]) && slotReads(t.Args[j], k) {
+	for _, j := range later {
+		if slotReads(t.Args[j], k) {
 			return false
 		}
 	}
-	// Plan step indices range over the register arguments followed by
-	// the operator.
-	nreg := min(len(t.Args), cfg.ArgRegs)
 	for _, step := range t.Plan.Steps {
-		var expr ir.Expr
-		if step.Arg < nreg {
-			expr = t.Args[step.Arg]
-		} else {
-			expr = t.Fn
-		}
-		if slotReads(expr, k) {
+		if slotReads(t.ShuffleExpr(step.Arg), k) {
 			return false
 		}
 	}

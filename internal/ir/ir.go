@@ -8,7 +8,8 @@
 // simplified language abstracts away.
 //
 // The register allocator (internal/codegen) annotates IR nodes in place:
-// variable locations, call liveness, shuffle plans, and save sets.
+// variable locations, argument evaluation orders, call liveness, shuffle
+// plans, and save sets.
 package ir
 
 import (
@@ -140,7 +141,27 @@ type Bind struct {
 type PrimCall struct {
 	Def  *prim.Def
 	Args []Expr
+	// Order is the evaluation order of Args, fixed by the allocator's
+	// analysis pass.
+	Order ArgOrder
 }
+
+// ArgOrder is an argument evaluation order fixed by the allocator's
+// analysis pass and followed by code emission. Index lists argument
+// positions: the NCalls positions whose expressions contain a non-tail
+// call come first (each result waits in a frame temporary while later
+// arguments are evaluated), then the call-free ones, each group in
+// source order.
+type ArgOrder struct {
+	Index  []int
+	NCalls int
+}
+
+// Calls returns the positions of the call-containing arguments.
+func (o ArgOrder) Calls() []int { return o.Index[:o.NCalls] }
+
+// Simple returns the positions of the call-free arguments.
+func (o ArgOrder) Simple() []int { return o.Index[o.NCalls:] }
 
 // Call invokes a procedure value.
 type Call struct {
@@ -163,9 +184,22 @@ type Call struct {
 	// Args[i] (with the operator appended last, targeting cp).
 	Plan        core.Plan
 	ShuffleArgs []core.ShuffleArg
+	// StackOrder is the evaluation order of the stack arguments (the
+	// positions of Args past the register arguments); they are
+	// evaluated before the register shuffle.
+	StackOrder ArgOrder
 	// LateSaves is used by the late-save strategy: registers saved
 	// immediately before this call.
 	LateSaves regset.Set
+}
+
+// ShuffleExpr returns the expression ShuffleArgs[k] describes: argument
+// k, or the operator for the last entry.
+func (c *Call) ShuffleExpr(k int) Expr {
+	if k == len(c.ShuffleArgs)-1 {
+		return c.Fn
+	}
+	return c.Args[k]
 }
 
 // MakeClosure allocates a closure for procedure ProcIndex capturing the
@@ -244,59 +278,6 @@ type Program struct {
 	// UserGlobals marks cells that the program defines or assigns;
 	// primitive calls through such cells cannot be open-coded.
 	UserGlobals []bool
-}
-
-// HasCalls reports whether e contains a non-tail call (used for
-// syntactic-leaf classification and for simple/complex argument
-// partitioning in the shuffler).
-func HasCalls(e Expr) bool {
-	switch t := e.(type) {
-	case *Const, *VarRef, *FreeRef, *GlobalRef:
-		return false
-	case *GlobalSet:
-		return HasCalls(t.Rhs)
-	case *If:
-		return HasCalls(t.Test) || HasCalls(t.Then) || HasCalls(t.Else)
-	case *Seq:
-		for _, x := range t.Exprs {
-			if HasCalls(x) {
-				return true
-			}
-		}
-		return false
-	case *Bind:
-		return HasCalls(t.Rhs) || HasCalls(t.Body)
-	case *PrimCall:
-		for _, x := range t.Args {
-			if HasCalls(x) {
-				return true
-			}
-		}
-		return false
-	case *Call:
-		if !t.Tail {
-			return true
-		}
-		// A tail call is a jump (paper footnote 1), but calls nested in
-		// its argument expressions still count.
-		if HasCalls(t.Fn) {
-			return true
-		}
-		for _, x := range t.Args {
-			if HasCalls(x) {
-				return true
-			}
-		}
-		return false
-	case *MakeClosure:
-		return false
-	case *Fix:
-		return HasCalls(t.Body)
-	case *Save:
-		return HasCalls(t.Body)
-	default:
-		panic(fmt.Sprintf("ir: unknown expression %T", e))
-	}
 }
 
 // Print renders an expression for dumps and tests.

@@ -29,38 +29,6 @@ func TestLocString(t *testing.T) {
 	}
 }
 
-func TestHasCalls(t *testing.T) {
-	x := v("x", 3)
-	call := &Call{Fn: &GlobalRef{Name: "f"}, Args: []Expr{&VarRef{Var: x}}}
-	tail := &Call{Fn: &GlobalRef{Name: "f"}, Tail: true}
-
-	cases := []struct {
-		name string
-		e    Expr
-		want bool
-	}{
-		{"const", &Const{Value: prim.FixV(1)}, false},
-		{"var", &VarRef{Var: x}, false},
-		{"call", call, true},
-		{"tail-call-alone", tail, false},
-		{"call-inside-tail-args", &Call{Fn: &GlobalRef{Name: "g"}, Args: []Expr{call}, Tail: true}, true},
-		{"seq", &Seq{Exprs: []Expr{&Const{Value: prim.FixV(1)}, call}}, true},
-		{"if-no-calls", &If{Test: &VarRef{Var: x}, Then: &VarRef{Var: x}, Else: &VarRef{Var: x}}, false},
-		{"if-one-arm", &If{Test: &VarRef{Var: x}, Then: call, Else: &VarRef{Var: x}}, true},
-		{"bind-rhs", &Bind{Var: x, Rhs: call, Body: &VarRef{Var: x}}, true},
-		{"prim-args", &PrimCall{Args: []Expr{call}}, true},
-		{"closure", &MakeClosure{ProcIndex: 0, Free: nil}, false},
-		{"global-set", &GlobalSet{Rhs: call}, true},
-		{"fix-body", &Fix{Vars: []*Var{x}, Closures: []*MakeClosure{{}}, Body: call, SaveVars: []bool{false}}, true},
-		{"save", &Save{Body: call}, true},
-	}
-	for _, c := range cases {
-		if got := HasCalls(c.e); got != c.want {
-			t.Errorf("%s: HasCalls = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
 func TestPrintForms(t *testing.T) {
 	x := v("x", 3)
 	e := &If{

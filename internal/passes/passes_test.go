@@ -228,25 +228,3 @@ func TestGlobalsTable(t *testing.T) {
 		t.Errorf("globals table incomplete: %v", prog.GlobalNames)
 	}
 }
-
-func TestHasCalls(t *testing.T) {
-	prog := convert(t, `
-(define (leaf x) (+ x 1))
-(define (internal x) (leaf (leaf x)))
-(define (tail-only x) (leaf x))
-(leaf 1)`)
-	byName := map[string]*ir.Proc{}
-	for _, p := range prog.Procs {
-		byName[p.Name] = p
-	}
-	if ir.HasCalls(byName["leaf"].Body) {
-		t.Error("leaf should have no calls")
-	}
-	if !ir.HasCalls(byName["internal"].Body) {
-		t.Error("internal has a nested non-tail call")
-	}
-	// tail-only's call is a tail call: not a call for leaf purposes.
-	if ir.HasCalls(byName["tail-only"].Body) {
-		t.Error("a lone tail call should not count as a call")
-	}
-}

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -358,5 +360,71 @@ func TestRetryAfterTaxonomy(t *testing.T) {
 	}
 	if KindDraining.HTTPStatus() != http.StatusServiceUnavailable {
 		t.Error("draining kind is not 503")
+	}
+}
+
+// TestTenantCardinalityBounded: client-chosen tenant values cannot grow
+// the quota table or the per-tenant metric families without bound. The
+// table empties as requests finish, and past maxTenantLabels distinct
+// tenants the series are shared under tenant="other".
+//
+// -short (as in the race-detector run) sends 10,000 requests per mode: still
+// two orders of magnitude past the cap.
+func TestTenantCardinalityBounded(t *testing.T) {
+	requests := 100000
+	if testing.Short() {
+		requests = 10000
+	}
+	for _, quota := range []int{0, 1} {
+		svc := New(Config{TenantInflight: quota}, nil)
+		h := svc.Handler()
+		for i := 0; i < requests; i++ {
+			tenant := fmt.Sprintf("t%d", i)
+			// With quotas on, every other tenant is held at its quota
+			// (as by an in-flight request) so the request is rejected.
+			held := quota > 0 && i%2 == 0
+			if held && !svc.tenants.acquire(tenant, quota) {
+				t.Fatalf("quota %d: acquire %s failed", quota, tenant)
+			}
+			// The body is malformed JSON: the request is attributed and
+			// admitted, then fails fast in the handler.
+			req := httptest.NewRequest(http.MethodPost, "/v1/compile", strings.NewReader("{"))
+			req.Header.Set("X-Lsr-Tenant", tenant)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			want := http.StatusBadRequest
+			if held {
+				want = http.StatusTooManyRequests
+				svc.tenants.release(tenant)
+			}
+			if rec.Code != want {
+				t.Fatalf("quota %d: %s: status %d, want %d: %s", quota, tenant, rec.Code, want, rec.Body)
+			}
+		}
+		svc.tenants.mu.Lock()
+		entries, labels := len(svc.tenants.n), len(svc.tenants.labels)
+		svc.tenants.mu.Unlock()
+		if entries != 0 {
+			t.Errorf("quota %d: %d tenant-table entries after all requests finished, want 0", quota, entries)
+		}
+		if labels != maxTenantLabels {
+			t.Errorf("quota %d: %d labelled tenants, want %d", quota, labels, maxTenantLabels)
+		}
+
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		m := rec.Body.String()
+		for _, family := range []string{"lsrd_tenant_requests_total", "lsrd_tenant_quota_rejected_total"} {
+			series := strings.Count(m, "\n"+family+"{")
+			if series > maxTenantLabels+1 {
+				t.Errorf("quota %d: %s has %d series, want at most %d", quota, family, series, maxTenantLabels+1)
+			}
+		}
+		if !strings.Contains(m, `lsrd_tenant_requests_total{tenant="other"} `+fmt.Sprint(requests-maxTenantLabels)) {
+			t.Errorf("quota %d: requests past the cap not counted under tenant=\"other\"", quota)
+		}
+		if quota > 0 && !strings.Contains(m, `lsrd_tenant_quota_rejected_total{tenant="other"} `+fmt.Sprint(requests/2-maxTenantLabels/2)) {
+			t.Errorf("quota %d: rejections past the cap not counted under tenant=\"other\"", quota)
+		}
 	}
 }

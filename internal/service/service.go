@@ -371,12 +371,14 @@ func (s *Service) endpoint(name string, h handlerFunc) http.HandlerFunc {
 		}
 
 		tenant := r.Header.Get(s.cfg.TenantHeader)
+		var tenantLabel string
 		if tenant != "" {
-			s.tenantReqs.With(tenant).Inc()
+			tenantLabel = s.tenants.label(tenant)
+			s.tenantReqs.With(tenantLabel).Inc()
 		}
 		release, qerr := s.tenantAcquire(tenant)
 		if qerr != nil {
-			s.tenantShed.With(tenant).Inc()
+			s.tenantShed.With(tenantLabel).Inc()
 			status = qerr.Kind.HTTPStatus()
 			writeError(w, status, qerr)
 			return

@@ -5,20 +5,30 @@ import (
 	"sync"
 )
 
+// maxTenantLabels caps how many distinct tenant values get their own
+// lsrd_tenant_* metric series. Tenant header values are client-supplied,
+// so requests from tenants first seen after the cap is reached are
+// counted under the label otherTenant; the two per-tenant families
+// therefore hold at most maxTenantLabels+1 series each.
+const maxTenantLabels = 64
+
+// otherTenant is the metric label shared by tenants past the cap.
+const otherTenant = "other"
+
 // tenantTable tracks per-tenant admitted-request counts for the
-// admission quota. Tenants are identified by the configured header
-// value; the empty tenant (no header) is exempt — it shares only the
-// global pool. The table grows one small entry per distinct tenant
-// string and is never pruned; tenant identities are expected to be a
-// bounded operator-controlled set, not attacker-supplied cardinality
-// (the same assumption the per-tenant metric labels make).
+// admission quota, and the tenant values that have their own metric
+// label. Tenants are identified by the configured header value; the
+// empty tenant (no header) is exempt — it shares only the global pool.
+// An entry is deleted when its count returns to zero, so the table
+// holds at most one entry per request in flight.
 type tenantTable struct {
-	mu sync.Mutex
-	n  map[string]int
+	mu     sync.Mutex
+	n      map[string]int
+	labels map[string]bool
 }
 
 func newTenantTable() *tenantTable {
-	return &tenantTable{n: map[string]int{}}
+	return &tenantTable{n: map[string]int{}, labels: map[string]bool{}}
 }
 
 // acquire admits one request for tenant under the limit; ok is false
@@ -36,9 +46,26 @@ func (t *tenantTable) acquire(tenant string, limit int) bool {
 func (t *tenantTable) release(tenant string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.n[tenant] > 0 {
-		t.n[tenant]--
+	if c := t.n[tenant]; c > 1 {
+		t.n[tenant] = c - 1
+	} else {
+		delete(t.n, tenant)
 	}
+}
+
+// label returns the metric label value for tenant: the tenant itself
+// while fewer than maxTenantLabels tenants have one, otherTenant after.
+func (t *tenantTable) label(tenant string) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.labels[tenant] {
+		return tenant
+	}
+	if len(t.labels) >= maxTenantLabels {
+		return otherTenant
+	}
+	t.labels[tenant] = true
+	return tenant
 }
 
 // tenantAcquire applies the per-tenant admission quota. The returned

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Reader parses a stream of S-expression datums from source text.
@@ -292,12 +293,20 @@ func (r *Reader) readHash() (Datum, error) {
 }
 
 func (r *Reader) readChar() (Datum, error) {
-	var b strings.Builder
-	c, ok := r.next()
-	if !ok {
+	// The first character is a whole UTF-8 sequence, so a non-ASCII
+	// character reads back as the rune it prints as.
+	ch, size := utf8.DecodeRuneInString(r.src[r.pos:])
+	if size == 0 {
 		return nil, r.errf("unterminated character literal")
 	}
-	b.WriteByte(c)
+	if ch == utf8.RuneError && size == 1 {
+		return nil, r.errf("invalid UTF-8 in character literal")
+	}
+	var b strings.Builder
+	for i := 0; i < size; i++ {
+		c, _ := r.next()
+		b.WriteByte(c)
+	}
 	for {
 		c, ok := r.peek()
 		if !ok || !isSymbolChar(c) {
@@ -347,6 +356,11 @@ func (r *Reader) readAtom() (Datum, error) {
 	if text == "" {
 		c, _ := r.peek()
 		return nil, r.errf("unexpected character %q", c)
+	}
+	if text == "." {
+		// A lone dot is only the dotted-pair marker inside a list; as a
+		// datum it would print as that marker and not read back.
+		return nil, r.errf("unexpected '.'")
 	}
 	return parseAtom(text)
 }

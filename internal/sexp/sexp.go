@@ -106,7 +106,12 @@ func (c Char) String() string {
 	return `#\` + string(rune(c))
 }
 
-func (s Str) String() string { return strconv.Quote(string(s)) }
+// strEscaper writes a string in the reader's syntax: only the escapes
+// the reader knows, every other byte as is, so the result reads back
+// as the same string.
+var strEscaper = strings.NewReplacer(`"`, `\"`, `\`, `\\`, "\n", `\n`, "\t", `\t`, "\r", `\r`)
+
+func (s Str) String() string { return `"` + strEscaper.Replace(string(s)) + `"` }
 
 func (Empty) String() string { return "()" }
 

@@ -37,8 +37,9 @@ type procVerifier struct {
 	syms *symtab
 	// eff caches per-instruction effects (indexed pc-start).
 	eff []vm.Effects
-	// pf wraps eff for CFG walks and witness searches.
-	pf *PathFinder
+	// g is the extent's CFG over eff, for the fixpoints and witness
+	// searches.
+	g *dataflow.Graph
 	// checking is set for the replay after the fixpoint: step then
 	// reports violations against each instruction's fixed in-state.
 	checking bool
@@ -107,7 +108,7 @@ func (pv *procVerifier) run(out *[]Violation) {
 	if !pv.prescan() {
 		return // structurally broken; dataflow would be meaningless
 	}
-	pv.pf = pathFinderFor(pv.start, pv.end, pv.eff)
+	pv.g = dataflow.GraphFromEffects(pv.start, pv.end, pv.eff)
 	pv.restorePairs()
 	pv.fixpoint()
 }
@@ -327,12 +328,11 @@ func (pv *procVerifier) restorePairs() {
 		return
 	}
 	pp := pairsProblem{pv: pv, words: (len(pv.pairList) + 63) / 64, genAt: genAt}
-	g := pv.pf.Graph()
-	pin, _ := dataflow.SolveBackward[[]uint64](g, pp, maxPasses)
+	pin, _ := dataflow.SolveBackward[[]uint64](pv.g, pp, maxPasses)
 	pv.pairsAfter = map[int][]uint64{}
 	for pc := pv.start; pc < pv.end; pc++ {
 		if op := pv.p.Code[pc].Op; op == vm.OpCall || op == vm.OpCallCC {
-			pv.pairsAfter[pc] = dataflow.MergeOut[[]uint64](g, pp, pin, pc)
+			pv.pairsAfter[pc] = dataflow.MergeOut[[]uint64](pv.g, pp, pin, pc)
 		}
 	}
 }
@@ -399,7 +399,7 @@ func (ap absintProblem) Join(dst, src state) (state, bool) {
 // forward DAGs, so increasing-address passes converge quickly; a pass
 // cap reports Unverifiable otherwise.
 func (pv *procVerifier) fixpoint() {
-	sol := dataflow.SolveForward[state](pv.pf.Graph(), absintProblem{pv}, maxPasses)
+	sol := dataflow.SolveForward[state](pv.g, absintProblem{pv}, maxPasses)
 	if !sol.Converged {
 		pv.report(Violation{Kind: Unverifiable, PC: pv.start, Reg: -1, Slot: -1, CallPC: -1,
 			Msg: fmt.Sprintf("fixpoint did not converge in %d passes", maxPasses)})
@@ -593,12 +593,12 @@ func (pv *procVerifier) checkSavesAtCall(s *state, pc int) {
 			pv.report(Violation{Kind: MissingSave, PC: pc, Reg: pr.reg, Slot: pr.slot, CallPC: pc,
 				Msg: fmt.Sprintf("r%d is restored from fp[%d] after this call, but no save of r%d into fp[%d] dominates it",
 					pr.reg, pr.slot, pr.reg, pr.slot),
-				Witness: pv.witnessPath(pc)})
+				Witness: pv.g.WitnessPath(pc)})
 		case slotVal.k != aDef || slotVal.sym != sc.sym:
 			pv.report(Violation{Kind: MissingSave, PC: pc, Reg: pr.reg, Slot: pr.slot, CallPC: pc,
 				Msg: fmt.Sprintf("fp[%d] no longer holds the value saved from r%d when the call at pc %d executes",
 					pr.slot, pr.reg, pc),
-				Witness: pv.witnessPath(pc)})
+				Witness: pv.g.WitnessPath(pc)})
 		}
 	}
 }
@@ -680,6 +680,6 @@ func (pv *procVerifier) checkShuffle(rec *vm.ShuffleRecord, src []absVal, callIn
 		pv.report(Violation{Kind: ShuffleMismatch, PC: rec.CallPC, Reg: a.Target, Slot: -1, CallPC: rec.CallPC,
 			Msg: fmt.Sprintf("shuffle starting at pc %d must move %s into r%d, but r%d %s at the call",
 				rec.StartPC, srcName, a.Target, a.Target, detail),
-			Witness: pv.witnessPath(rec.CallPC)})
+			Witness: pv.g.WitnessPath(rec.CallPC)})
 	}
 }

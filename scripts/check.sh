@@ -53,6 +53,10 @@ echo "== go test: perfbench module (pipeline drift guard, verify oracle) =="
 echo "== go test -race =="
 go test -race -short ./...
 
+echo "== fuzz: reader and parser on untrusted text (10s each) =="
+go test ./internal/sexp -run '^$' -fuzz '^FuzzReadAll$' -fuzztime=10s
+go test ./internal/ast -run '^$' -fuzz '^FuzzParse$' -fuzztime=10s
+
 echo "== verifier sweep: benchmark suite, every configuration =="
 go run ./cmd/lsrbench -verify
 
