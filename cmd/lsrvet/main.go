@@ -1,8 +1,8 @@
 // Command lsrvet is the source-level static analysis gate: it runs the
 // internal/srclint suite over this repository's own Go code and exits
 // nonzero on any finding, making hot-path allocation regressions,
-// vm.Program mutation, and engine dispatch-table drift CI failures
-// instead of latent bugs.
+// vm.Program mutation, and drift between the VM's decoder and dispatch
+// tables CI failures instead of latent bugs.
 //
 // Usage:
 //

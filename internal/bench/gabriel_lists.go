@@ -142,8 +142,8 @@ func init() {
 
 // traverseShared is a port of the Gabriel traverse benchmark. The
 // original's defstruct nodes become 7-slot vectors; its random number
-// generator becomes an explicit linear congruential generator so both
-// engines agree deterministically.
+// generator becomes an explicit linear congruential generator so the
+// interpreter and the VM agree deterministically.
 const traverseShared = `
 ;; node: #(sons sons-count parents mark snb entry marker)
 (define (make-node snb)

@@ -241,7 +241,7 @@ func TestNoDefensiveRestores(t *testing.T) {
 }
 
 // TestOutputAgreement: programs that print must produce identical output
-// in both engines.
+// in the interpreter and the VM.
 func TestOutputAgreement(t *testing.T) {
 	src := `
 (define (show x) (display x) (newline))
@@ -266,7 +266,8 @@ func TestOutputAgreement(t *testing.T) {
 	}
 }
 
-// TestRuntimeErrorsAgree: programs that fail must fail in both engines.
+// TestRuntimeErrorsAgree: programs that fail must fail in the interpreter
+// and the VM.
 func TestRuntimeErrorsAgree(t *testing.T) {
 	bad := []string{
 		"(car 1)",

@@ -1,7 +1,7 @@
 // Package interp is a reference tree-walking interpreter for the core
 // AST. It is the differential-testing oracle for the compiler + VM
 // pipeline: any program the compiler accepts must produce the same value
-// here (see the cross-engine tests in internal/compiler).
+// here (see the interpreter-versus-VM tests in internal/compiler).
 //
 // The interpreter is deliberately simple. The only subtlety is proper
 // tail calls, implemented by a trampoline so deeply iterative benchmarks

@@ -1,8 +1,8 @@
 // Package prim implements the primitive procedures of the mini-Scheme
 // run-time system. Both the reference interpreter and the compiled-code
 // virtual machine dispatch to the same primitive table, so a differential
-// test that compares the two engines exercises the compiler rather than
-// two divergent libraries.
+// test that compares the interpreter with the VM exercises the compiler
+// rather than two divergent libraries.
 //
 // Values use the tagged two-word representation defined in value.go:
 // fixnums, booleans, characters and the empty list are immediates (no

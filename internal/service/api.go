@@ -136,11 +136,9 @@ type RunRequest struct {
 	MaxSteps int64 `json:"max_steps,omitempty"`
 	// Validate poisons caller-save registers at call boundaries.
 	Validate bool `json:"validate,omitempty"`
-	// Engine selects the execution engine: "threaded" (the pre-decoded
-	// engine, the default) or "switch" (the reference decode-every-step
-	// loop). Both produce identical values and counters; "switch"
-	// exists for differential debugging against the reference
-	// semantics.
+	// Engine names the execution engine. The machine has one, so only
+	// "" and "threaded" are accepted; anything else, "switch" included
+	// (the retired reference loop), is a bad request.
 	Engine string `json:"engine,omitempty"`
 	// Counters selects the counter fidelity: "full" (the default;
 	// every field of the response's counters is populated) or
@@ -150,15 +148,12 @@ type RunRequest struct {
 	Counters string `json:"counters,omitempty"`
 }
 
-// engineKind lowers RunRequest.Engine.
-func engineKind(s string) (vm.EngineKind, error) {
-	switch s {
-	case "", "threaded":
-		return vm.EngineThreaded, nil
-	case "switch":
-		return vm.EngineSwitch, nil
+// checkEngine validates RunRequest.Engine.
+func checkEngine(s string) error {
+	if s != "" && s != "threaded" {
+		return fmt.Errorf("unknown engine %q (want threaded)", s)
 	}
-	return 0, fmt.Errorf("unknown engine %q (want threaded or switch)", s)
+	return nil
 }
 
 // counterMode lowers RunRequest.Counters.

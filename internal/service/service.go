@@ -523,8 +523,7 @@ func (s *Service) handleRun(ctx context.Context, body []byte) (any, int, *Error)
 	if oerr != nil {
 		return nil, 0, errOf(KindBadRequest, "%v", oerr)
 	}
-	engine, eerr := engineKind(req.Engine)
-	if eerr != nil {
+	if eerr := checkEngine(req.Engine); eerr != nil {
 		return nil, 0, errOf(KindBadRequest, "%v", eerr)
 	}
 	mode, merr := counterMode(req.Counters)
@@ -551,15 +550,10 @@ func (s *Service) handleRun(ctx context.Context, body []byte) (any, int, *Error)
 	var out limitedBuffer
 	out.limit = int(s.cfg.MaxOutputBytes)
 	m := vm.New(c.Program, &out)
-	m.Engine = engine
 	m.Counting = mode
 	m.MaxSteps = fuel
 	m.ValidateRestores = req.Validate
-	engineName := "threaded"
-	if engine == vm.EngineSwitch {
-		engineName = "switch"
-	}
-	s.runs.With(engineName).Inc()
+	s.runs.With("threaded").Inc()
 	v, rerr := m.Run()
 	if rerr != nil {
 		return nil, 0, &Error{Kind: Classify(StageRun, rerr), Message: rerr.Error()}

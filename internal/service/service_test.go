@@ -528,31 +528,31 @@ func TestClassify(t *testing.T) {
 }
 
 // TestRunEngineAndCounters exercises the engine and counter-mode
-// selectors of /v1/run: both engines must produce identical values and
+// selectors of /v1/run: "" and "threaded" name the one engine and give
 // identical counters, essential mode must keep the cost-model outputs
-// while zeroing the diagnostic ones, and bad selectors are
-// bad-request errors.
+// while zeroing the diagnostic ones, and bad selectors — the retired
+// "switch" engine included — are bad-request errors.
 func TestRunEngineAndCounters(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	src := `(define (f n acc) (if (zero? n) acc (f (- n 1) (+ acc n)))) (f 100 0)`
 
 	var byEngine []RunResponse
-	for _, engine := range []string{"threaded", "switch"} {
+	for _, engine := range []string{"", "threaded"} {
 		code, body := post(t, ts, "/v1/run", RunRequest{Source: src, Engine: engine})
 		if code != http.StatusOK {
-			t.Fatalf("run engine=%s: status %d: %s", engine, code, body)
+			t.Fatalf("run engine=%q: status %d: %s", engine, code, body)
 		}
 		var resp RunResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if resp.Value != "5050" {
-			t.Errorf("engine=%s value = %q, want 5050", engine, resp.Value)
+			t.Errorf("engine=%q value = %q, want 5050", engine, resp.Value)
 		}
 		byEngine = append(byEngine, resp)
 	}
 	if byEngine[0].Counters != byEngine[1].Counters {
-		t.Errorf("engines disagree on counters:\nthreaded: %+v\nswitch:   %+v",
+		t.Errorf("runs disagree on counters:\ndefault:  %+v\nthreaded: %+v",
 			byEngine[0].Counters, byEngine[1].Counters)
 	}
 
@@ -575,6 +575,7 @@ func TestRunEngineAndCounters(t *testing.T) {
 	}
 
 	for _, bad := range []RunRequest{
+		{Source: src, Engine: "switch"},
 		{Source: src, Engine: "warp"},
 		{Source: src, Counters: "most"},
 	} {
@@ -584,17 +585,16 @@ func TestRunEngineAndCounters(t *testing.T) {
 		}
 	}
 
-	// The runs-by-engine metric counted every successful execution.
+	// The runs-by-engine metric counted every successful execution
+	// under the one engine label.
 	code, body = get(t, ts, "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: status %d", code)
 	}
-	for _, want := range []string{
-		`lsrd_runs_total{engine="threaded"}`,
-		`lsrd_runs_total{engine="switch"} 1`,
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("metrics missing %s", want)
-		}
+	if want := `lsrd_runs_total{engine="threaded"} 3`; !strings.Contains(string(body), want) {
+		t.Errorf("metrics missing %s", want)
+	}
+	if strings.Contains(string(body), `engine="switch"`) {
+		t.Error(`metrics has an engine="switch" series`)
 	}
 }

@@ -1,14 +1,14 @@
 package srclint
 
-// The engine-parity analyzer: structural cross-checks between the two
-// execution engines and their dispatch tables. TestEngineEquivalence
-// proves the engines agree on every program it runs; this analyzer
-// proves the table shapes agree on every opcode, so "forgot to add the
-// case" drift surfaces as a named finding at lint time instead of a
-// differential-test debugging session at run time. The checks:
+// The engine-parity analyzer: structural cross-checks between the
+// execution engine's dispatch tables. The TestEngineEquivalence golden
+// tests prove the engine reproduces the recorded counters on every
+// program they run; this analyzer proves the tables agree on every
+// opcode, so "forgot to add the case" drift surfaces as a named finding
+// at lint time instead of a golden-diff debugging session at run time.
+// The checks:
 //
-//   - every Op constant has a case in the reference switch loop and in
-//     the threaded engine's decoder (decodeOne);
+//   - every Op constant has a case in the engine's decoder (decodeOne);
 //   - every dispatch code (xcode constant) has an arm in runThreaded,
 //     except the ones configured as deliberately default-handled;
 //   - the specialized-primitive table is closed: every spec code
@@ -18,8 +18,8 @@ package srclint
 //     arm groups codes of one arity, since it reads one operand count
 //     for all of them.
 //
-// What it deliberately cannot prove: that an arm's *body* matches the
-// switch loop's semantics — that remains TestEngineEquivalence's job.
+// What it deliberately cannot prove: that an arm's *body* is right —
+// that remains the golden tests' job.
 // Parity here is table-shape parity: presence and arity.
 
 import (
@@ -40,8 +40,6 @@ type ParityConfig struct {
 	OpType string
 	// XType is the threaded engine's dispatch-code type ("xcode").
 	XType string
-	// SwitchFunc is the reference switch loop ("loop").
-	SwitchFunc string
 	// DecodeFunc is the threaded engine's decoder ("decodeOne").
 	DecodeFunc string
 	// ThreadedFunc is the threaded dispatch loop ("runThreaded").
@@ -61,7 +59,6 @@ func DefaultParityConfig() ParityConfig {
 	return ParityConfig{
 		OpType:       "Op",
 		XType:        "xcode",
-		SwitchFunc:   "loop",
 		DecodeFunc:   "decodeOne",
 		ThreadedFunc: "runThreaded",
 		DefaultX:     []string{"xUnknown"},
@@ -94,13 +91,11 @@ func (c *parityCheck) run() ([]findings.Finding, error) {
 		return nil, err
 	}
 
-	// 1+2: opcode coverage in both engines' dispatch tables.
-	c.checkCoverage(opConsts, c.cfg.SwitchFunc, "missing-switch-case",
-		"the reference switch loop has no case for it; both engines must handle every opcode", nil)
+	// 1: opcode coverage in the decoder.
 	c.checkCoverage(opConsts, c.cfg.DecodeFunc, "missing-decode-case",
-		"the threaded engine's decoder has no case for it, so it would decode as unknown and trap where the switch loop succeeds", nil)
+		"the engine's decoder has no case for it, so it would decode as unknown and trap", nil)
 
-	// 3: dispatch-code coverage in the threaded loop.
+	// 2: dispatch-code coverage in the threaded loop.
 	defaultX := map[string]bool{}
 	for _, n := range c.cfg.DefaultX {
 		defaultX[n] = true
@@ -108,7 +103,7 @@ func (c *parityCheck) run() ([]findings.Finding, error) {
 	c.checkCoverage(xConsts, c.cfg.ThreadedFunc, "missing-threaded-arm",
 		"the threaded dispatch loop has no arm for it", defaultX)
 
-	// 4: the specialized-primitive table is closed.
+	// 3: the specialized-primitive table is closed.
 	if err := c.checkSpecTable(xConsts); err != nil {
 		return nil, err
 	}
@@ -242,7 +237,7 @@ func (c *parityCheck) checkSpecTable(xConsts []constDecl) error {
 	}
 	// arm maps each spec code to the outermost case clause of the
 	// threaded loop listing it (ast.Inspect visits outer clauses first);
-	// a code with no arm is check 3's finding.
+	// a code with no arm is check 2's finding.
 	arm := map[string]*ast.CaseClause{}
 	ast.Inspect(loop.Body, func(n ast.Node) bool {
 		cc, ok := n.(*ast.CaseClause)

@@ -7,7 +7,7 @@ import (
 	"repro/internal/findings"
 )
 
-// paritySrc is a miniature two-engine VM with every surface the parity
+// paritySrc is a miniature VM with every surface the parity
 // analyzer cross-checks, in a consistent (clean) state. The violation
 // tests below each break exactly one invariant by string surgery.
 const paritySrc = `package vmtest
@@ -35,14 +35,6 @@ type Machine struct {
 }
 
 type dcode struct{ op xcode }
-
-func loop(m *Machine, op Op) {
-	switch op {
-	case OpHalt:
-	case OpAdd:
-	case OpJump:
-	}
-}
 
 func decodeOne(op Op) xcode {
 	switch op {
@@ -92,7 +84,6 @@ func parityCfg() ParityConfig {
 	return ParityConfig{
 		OpType:       "Op",
 		XType:        "xcode",
-		SwitchFunc:   "loop",
 		DecodeFunc:   "decodeOne",
 		ThreadedFunc: "runThreaded",
 		DefaultX:     []string{"xUnknown"},
@@ -137,12 +128,6 @@ func TestParityViolations(t *testing.T) {
 		kind     string
 		msgHas   string
 	}{
-		{
-			name: "missing-switch-case",
-			old:  "\tcase OpJump:\n\t}\n}\n\nfunc decodeOne",
-			new:  "\t}\n}\n\nfunc decodeOne",
-			kind: "missing-switch-case", msgHas: "OpJump",
-		},
 		{
 			name: "missing-decode-case",
 			old:  "\tcase OpJump:\n\t\treturn xJump\n",

@@ -17,9 +17,8 @@
 //     an allowlist writes to vm.Program fields or their backing
 //     slices, statically enforcing the "Program immutable, Machine
 //     per-run" concurrency contract.
-//   - engine-parity (parity.go): cross-checks the opcode and dispatch
-//     tables of the two execution engines and the specialized-primitive
-//     table.
+//   - engine-parity (parity.go): cross-checks the VM engine's decoder,
+//     its dispatch arms and its specialized-primitive table.
 //
 // The suite is driven by cmd/lsrvet and gated in scripts/check.sh and
 // CI. See DESIGN.md §13 for what each analyzer proves and what it

@@ -44,7 +44,7 @@ func TestSeededViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Violation 1 (parity): an opcode neither engine handles.
+	// Violation 1 (parity): an opcode the engine's decoder does not handle.
 	seed(t, filepath.Join(tmp, "internal/vm/zz_seeded.go"), `package vm
 
 // OpBogus is a deliberately unhandled opcode (seeded violation).
@@ -95,7 +95,6 @@ func corruptFragment(f *fragment) {
 		t.Error("seeded write to a prelude fragment not detected")
 	}
 	want := map[string]bool{
-		"missing-switch-case": false,
 		"missing-decode-case": false,
 		"program-mutation":    false,
 		"new-heap-escape":     false,

@@ -4,11 +4,14 @@
 // sweeps, each under four compiler configurations — is checked against
 // testdata/engine_golden.json: the same result value, the same error
 // string and trap pc, and byte-for-byte identical full counters
-// (PerProc included). The golden was produced by the reference
-// decode-every-step switch loop; the threaded engine must reproduce it
-// exactly, which lets it pre-decode instructions and specialize
-// primitives without ever changing the cost-model outputs the paper's
-// tables are built from.
+// (PerProc included). The golden was recorded from the original
+// decode-every-step switch loop before that engine was deleted; the
+// pre-decoded engine must keep reproducing it exactly, so it can
+// specialize primitives and reorder its arms without ever changing the
+// cost-model outputs the paper's tables are built from. Result values
+// are also checked independently: the suite against each program's
+// expected value, the overflow corpus against the reference
+// interpreter.
 //
 // A fuel sweep runs one program with every step budget from 1 to 3000
 // and stores one SHA-256 over its sequence of (*FuelError, counters)
@@ -94,9 +97,8 @@ type goldenFile struct {
 
 // runMachine executes an already-compiled program on a fresh machine
 // with full counters.
-func runMachine(p *vm.Program, eng vm.EngineKind, fuel int64, validate bool) (prim.Value, error, *vm.Counters) {
+func runMachine(p *vm.Program, fuel int64, validate bool) (prim.Value, error, *vm.Counters) {
 	m := vm.New(p, io.Discard)
-	m.Engine = eng
 	m.Counting = vm.CountFull
 	m.MaxSteps = fuel
 	m.ValidateRestores = validate
@@ -106,8 +108,8 @@ func runMachine(p *vm.Program, eng vm.EngineKind, fuel int64, validate bool) (pr
 
 // observe runs p under the benchmark fuel and records what the run
 // showed under key.
-func observe(key string, p *vm.Program, eng vm.EngineKind, validate bool) goldenRun {
-	v, err, cnt := runMachine(p, eng, bench.BenchFuel, validate)
+func observe(key string, p *vm.Program, validate bool) goldenRun {
+	v, err, cnt := runMachine(p, bench.BenchFuel, validate)
 	r := goldenRun{Key: key, Counters: cnt, PerProc: make([]int64, 0, 2*len(cnt.PerProc))}
 	for _, pc := range cnt.PerProc {
 		r.PerProc = append(r.PerProc, pc.Activations, pc.MadeCalls)
@@ -290,14 +292,14 @@ func sweepSteps() []int64 {
 // sweepMaxFuel, requires each run to stop with a *FuelError matching
 // ErrFuelExhausted, and returns one digest per step over the runs whose
 // budget that step visits.
-func fuelSweep(t *testing.T, key string, p *vm.Program, eng vm.EngineKind, steps []int64) []goldenSweep {
+func fuelSweep(t *testing.T, key string, p *vm.Program, steps []int64) []goldenSweep {
 	t.Helper()
 	hs := make([]hash.Hash, len(steps))
 	for i := range hs {
 		hs[i] = sha256.New()
 	}
 	for fuel := int64(1); fuel <= sweepMaxFuel; fuel += steps[0] {
-		_, err, cnt := runMachine(p, eng, fuel, false)
+		_, err, cnt := runMachine(p, fuel, false)
 		var fe *vm.FuelError
 		if !errors.As(err, &fe) || !errors.Is(err, vm.ErrFuelExhausted) {
 			t.Fatalf("%s: fuel=%d: expected a FuelError matching ErrFuelExhausted, got %v", key, fuel, err)
@@ -322,14 +324,14 @@ func fuelSweep(t *testing.T, key string, p *vm.Program, eng vm.EngineKind, steps
 	return out
 }
 
-// renderEngineGolden makes every run and sweep the tests check, on the
-// given engine, and encodes them one entry per line.
-func renderEngineGolden(t *testing.T, eng vm.EngineKind) []byte {
+// renderEngineGolden makes every run and sweep the tests check and
+// encodes them one entry per line.
+func renderEngineGolden(t *testing.T) []byte {
 	t.Helper()
 	var runs []goldenRun
 	var sweeps []goldenSweep
 	add := func(key, src string, opts compiler.Options, validate bool) {
-		runs = append(runs, observe(key, compileOrFatal(t, key, src, opts), eng, validate))
+		runs = append(runs, observe(key, compileOrFatal(t, key, src, opts), validate))
 	}
 	for _, cfg := range equivConfigs() {
 		for _, p := range append(bench.All(), addSub1Program()) {
@@ -360,11 +362,11 @@ func renderEngineGolden(t *testing.T, eng vm.EngineKind) []byte {
 	steps := []int64{1, sweepShortStep}
 	for _, cfg := range equivConfigs() {
 		key := "fuel/" + cfg.name + "/tak"
-		sweeps = append(sweeps, fuelSweep(t, key, compileOrFatal(t, key, tak.Source, cfg.opts), eng, steps)...)
+		sweeps = append(sweeps, fuelSweep(t, key, compileOrFatal(t, key, tak.Source, cfg.opts), steps)...)
 	}
 	for _, cfg := range equivConfigs() {
 		key := "fuel-overflow/" + cfg.name + "/loop"
-		sweeps = append(sweeps, fuelSweep(t, key, compileOrFatal(t, key, fuelOverflowSrc, cfg.opts), eng, steps)...)
+		sweeps = append(sweeps, fuelSweep(t, key, compileOrFatal(t, key, fuelOverflowSrc, cfg.opts), steps)...)
 	}
 
 	var b bytes.Buffer
@@ -517,7 +519,7 @@ func TestEngineEquivalence(t *testing.T) {
 		if testing.Short() {
 			t.Fatal("regenerate the golden without -short")
 		}
-		data := renderEngineGolden(t, vm.EngineSwitch)
+		data := renderEngineGolden(t)
 		if err := os.MkdirAll(filepath.Dir(engineGoldenPath), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -532,7 +534,7 @@ func TestEngineEquivalence(t *testing.T) {
 		for _, p := range suitePrograms(t) {
 			key := "suite/" + cfg.name + "/" + p.Name
 			prog := compileOrFatal(t, key, p.Source, cfg.opts)
-			got := observe(key, prog, vm.EngineThreaded, false)
+			got := observe(key, prog, false)
 			if got.Error != "" {
 				t.Fatalf("%s: run error: %s", key, got.Error)
 			}
@@ -595,7 +597,7 @@ func TestEngineEquivalenceFuel(t *testing.T) {
 	}
 	for _, cfg := range equivConfigs() {
 		key := "fuel/" + cfg.name + "/tak"
-		for _, s := range fuelSweep(t, key, compileOrFatal(t, key, tak.Source, cfg.opts), vm.EngineThreaded, sweepSteps()) {
+		for _, s := range fuelSweep(t, key, compileOrFatal(t, key, tak.Source, cfg.opts), sweepSteps()) {
 			g.checkSweep(t, s)
 		}
 	}
@@ -609,7 +611,7 @@ func TestEngineEquivalenceErrors(t *testing.T) {
 	for _, cfg := range equivConfigs() {
 		for _, tc := range trapCorpus {
 			key := "trap/" + cfg.name + "/" + tc.name
-			got := observe(key, compileOrFatal(t, key, tc.src, cfg.opts), vm.EngineThreaded, false)
+			got := observe(key, compileOrFatal(t, key, tc.src, cfg.opts), false)
 			if got.Error == "" {
 				t.Fatalf("%s: expected a trap, got %s", key, got.Value)
 			}
@@ -630,7 +632,7 @@ func TestEngineEquivalenceOverflow(t *testing.T) {
 	for _, cfg := range equivConfigs() {
 		for _, tc := range overflowCorpus {
 			key := "overflow/" + cfg.name + "/" + tc.name
-			got := observe(key, compileOrFatal(t, key, tc.src, cfg.opts), vm.EngineThreaded, false)
+			got := observe(key, compileOrFatal(t, key, tc.src, cfg.opts), false)
 			if got.Error != "" {
 				t.Fatalf("%s: run error: %s", key, got.Error)
 			}
@@ -653,7 +655,7 @@ func TestEngineEquivalenceFuelOverflow(t *testing.T) {
 	g := loadEngineGolden(t)
 	for _, cfg := range equivConfigs() {
 		key := "fuel-overflow/" + cfg.name + "/loop"
-		for _, s := range fuelSweep(t, key, compileOrFatal(t, key, fuelOverflowSrc, cfg.opts), vm.EngineThreaded, sweepSteps()) {
+		for _, s := range fuelSweep(t, key, compileOrFatal(t, key, fuelOverflowSrc, cfg.opts), sweepSteps()) {
 			g.checkSweep(t, s)
 		}
 	}
@@ -671,7 +673,7 @@ func TestEngineEquivalenceValidate(t *testing.T) {
 	}
 	for _, cfg := range equivConfigs() {
 		key := "validate/" + cfg.name + "/deriv"
-		got := observe(key, compileOrFatal(t, key, deriv.Source, cfg.opts), vm.EngineThreaded, true)
+		got := observe(key, compileOrFatal(t, key, deriv.Source, cfg.opts), true)
 		if got.Error != "" {
 			t.Fatalf("%s: validate run error: %s", key, got.Error)
 		}

@@ -1,7 +1,6 @@
 package vm
 
-// This file is the pre-decoded execution engine: the default hot path
-// behind Machine.Run. At first use of a Program it decodes every Instr
+// This file is the machine's execution engine, behind Machine.Run. At first use of a Program it decodes every Instr
 // once into a flat array of operand records (dcode) — constants,
 // primitive definitions and slot kinds are resolved at decode time, and
 // each record carries a dense dispatch code. Every instruction dispatches
@@ -9,14 +8,13 @@ package vm
 // code (an indirect call per instruction costs more than a table switch
 // in Go, so dispatch itself makes no call).
 //
-// The engine invariant — enforced by TestEngineEquivalence — is that
-// this engine is observably identical to the reference switch loop
-// (switchloop.go): same result values, same errors (including
-// *FuelError program counters), and byte-for-byte identical Counters
-// under CountFull. Simulated cycle accounting is the reproduction's
-// measuring stick, so every dispatch arm charges the dispatch cycle,
-// memory penalties and load-use stalls in exactly the order the switch
-// loop does.
+// The engine invariant — enforced by the TestEngineEquivalence tests —
+// is that it reproduces testdata/engine_golden.json, recorded from the
+// original decode-every-step switch loop: same result values, same
+// errors (including *FuelError program counters), and byte-for-byte
+// identical Counters under CountFull. Simulated cycle accounting is the
+// reproduction's measuring stick, so a change to any arm's cycle, memory
+// penalty or load-use stall accounting shows up as a golden diff.
 
 import (
 	"repro/internal/prim"
@@ -39,18 +37,17 @@ const (
 	CountEssential
 )
 
-// EngineKind selects the execution engine.
+// EngineKind names an execution engine. There is one.
+//
+// Deprecated: Machine.Run ignores Machine.Engine; EngineKind remains
+// only so existing callers that set it keep compiling.
 type EngineKind uint8
 
-const (
-	// EngineThreaded (the default) is the pre-decoded engine in this
-	// file.
-	EngineThreaded EngineKind = iota
-	// EngineSwitch is the reference decode-every-step switch loop
-	// (switchloop.go), kept as the semantic baseline the differential
-	// test compares against.
-	EngineSwitch
-)
+// EngineThreaded is the pre-decoded engine in this file.
+//
+// Deprecated: it is the only engine; setting Machine.Engine has no
+// effect.
+const EngineThreaded EngineKind = 0
 
 // xcode is the dense dispatch code runThreaded switches on; each value
 // is an inline arm for one opcode (or one decode-time case of it).
@@ -62,8 +59,7 @@ const (
 	xMove
 	xLoadConst
 	// xLoadConstSlow is a load of a mutable constant (copied per load)
-	// or of an out-of-range pool index (which panics, as in the switch
-	// loop).
+	// or of an out-of-range pool index (which panics when executed).
 	xLoadConstSlow
 	xLoadGlobal
 	xStoreGlobal
@@ -72,7 +68,7 @@ const (
 	xStoreOut
 	xPrim
 	// xPrimSlow is a primitive with an out-of-range pool index (which
-	// panics at execution time, as in the switch loop).
+	// panics at execution time).
 	xPrimSlow
 	xClosure
 	xClosurePatch
@@ -217,9 +213,9 @@ func buildEngine(p *Program) *engineCode {
 
 // decodeOne lowers one Instr to its decoded form. Pool references are
 // resolved only when they are in range; out-of-range references get the
-// slow arm so the failure (a panic, as in the switch loop) happens
-// at execution time, not at decode time — a program whose corrupt
-// instruction is never reached must run identically on both engines.
+// slow arm so the failure (a panic) happens at execution time, not at
+// decode time — a program whose corrupt instruction is never reached
+// runs normally.
 func decodeOne(p *Program, in *Instr, d *dcode) {
 	d.op = in.Op
 	d.a, d.b, d.c = in.A, in.B, in.C
@@ -289,10 +285,9 @@ func decodeOne(p *Program, in *Instr, d *dcode) {
 	}
 }
 
-// runThreaded is the pre-decoded dispatch loop. Every arm mirrors the
-// corresponding case of the reference loop exactly (switchloop.go is
-// the semantic baseline — change it first), reading resolved operands
-// from the dcode instead of re-decoding the Instr.
+// runThreaded is the pre-decoded dispatch loop: one arm per dispatch
+// code, reading resolved operands from the dcode instead of re-decoding
+// the Instr.
 func (m *Machine) runThreaded() (prim.Value, error) {
 	code := m.prog.engine().code
 	c := &m.Counters

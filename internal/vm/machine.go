@@ -36,9 +36,10 @@ type Machine struct {
 	// writes — with cycle counts identical to CountFull) and skips the
 	// rest of the bookkeeping.
 	Counting CounterMode
-	// Engine selects the execution engine: EngineThreaded (default,
-	// pre-decoded jump-table dispatch) or EngineSwitch (the reference decode-every-step loop). Both are
-	// observably identical; see exec.go.
+	// Engine is ignored: the pre-decoded engine in exec.go is the only
+	// one.
+	//
+	// Deprecated: Run always uses the one engine; do not set it.
 	Engine EngineKind
 	// MaxSteps is the execution fuel: the maximum number of instructions
 	// the machine may execute before Run returns a *FuelError matching
@@ -131,9 +132,6 @@ func (m *Machine) Run() (prim.Value, error) {
 	if m.fine {
 		m.Counters.Activations++
 		m.Counters.PerProc[m.prog.MainIndex].Activations++
-	}
-	if m.Engine == EngineSwitch {
-		return m.loop()
 	}
 	return m.runThreaded()
 }

@@ -313,7 +313,7 @@ func (p *Program) AnalyzeInterproc() *InterprocReport {
 }
 
 // Interpret evaluates source with the reference interpreter (the
-// engine-independent oracle).
+// oracle for the compiler and the VM).
 func Interpret(src string, out io.Writer) (string, error) {
 	v, err := compiler.Interpret(src, false, out)
 	if err != nil {

@@ -37,7 +37,7 @@ if [ -n "$undoc" ]; then
     exit 1
 fi
 
-echo "== source lint: alloc baseline, Program immutability, engine parity =="
+echo "== source lint: alloc baseline, Program immutability, dispatch-table parity =="
 # lsrvet's alloc analyzer diffs `go build -gcflags=-m` output against
 # ALLOC_BASELINE.json, which records the toolchain it was measured
 # with; it fails fast with instructions if this machine's go MAJOR.MINOR
