@@ -435,12 +435,13 @@ func TestSlotReads(t *testing.T) {
 	slotVar := &ir.Var{Name: "s", Loc: ir.Loc{Kind: ir.LocSlot, Index: 2}, SaveSlot: -1, CSReg: -1}
 	regVar := &ir.Var{Name: "r", Loc: ir.Loc{Kind: ir.LocReg, Index: 5}, SaveSlot: -1, CSReg: -1}
 	e := ir.Expr(&ir.PrimCall{Args: []ir.Expr{&ir.VarRef{Var: slotVar}, &ir.VarRef{Var: regVar}}})
-	if !slotReads(e, 2) {
-		t.Error("should read slot 2")
+	read := make([]bool, 6)
+	markSlotReads(e, read)
+	if want := []bool{false, false, true, false, false, false}; !slices.Equal(read, want) {
+		t.Errorf("slots read %v, want %v (only slot 2; register 5 is no slot)", read, want)
 	}
-	if slotReads(e, 3) {
-		t.Error("should not read slot 3")
-	}
+	// A slot at or beyond len(read) is outside the tracked area.
+	markSlotReads(e, make([]bool, 2))
 }
 
 // findIf and findCall locate the first node of each type.

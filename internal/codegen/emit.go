@@ -786,9 +786,10 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 		stackTemps[i] = tmp
 	}
 	simple := t.StackOrder.Simple()
+	direct := em.directStackArgs(t, simple, effTail, planHasCall)
 	for n, i := range simple {
 		k := i - cfg.ArgRegs
-		if em.stackArgDirect(t, simple[n+1:], k, effTail, planHasCall) {
+		if direct[n] {
 			r, release := em.operandReg(t.Args[i])
 			if effTail {
 				cg.emit(vm.Instr{Op: vm.OpStoreSlot, A: r, B: k, Kind: vm.KindArg})
@@ -951,91 +952,83 @@ func (em *emitter) emitCall(t *ir.Call, dst int) {
 	}
 }
 
-// stackArgDirect reports whether a simple stack argument (target slot
-// k of the callee frame) can be stored directly instead of staged via a
-// temporary; later lists the simple stack arguments evaluated after it.
-// For non-tail calls the outgoing area lies beyond our frame, so a
-// direct store is safe unless a call in the shuffle plan would push a
-// nested frame over it. For tail calls the target overlaps our own
-// frame: the slot must lie within the incoming-parameter area (below the
+// directStackArgs reports, for each simple stack argument in simple
+// (evaluation order), whether it can be stored directly into its target
+// slot k of the callee frame instead of staged via a temporary. For
+// non-tail calls the outgoing area lies beyond our frame, so a direct
+// store is safe unless a call in the shuffle plan would push a nested
+// frame over it. For tail calls the target overlaps our own frame: the
+// slot must lie within the incoming-parameter area (below the
 // local/save/temp slots a nested call's restores might read) and must
-// not be read by anything evaluated later.
-func (em *emitter) stackArgDirect(t *ir.Call, later []int, k int, effTail, planHasCall bool) bool {
+// not be read by anything evaluated later — a later simple argument or
+// a shuffle step. One backward pass collects those reads, so the
+// decision is linear in the call's width.
+func (em *emitter) directStackArgs(t *ir.Call, simple []int, effTail, planHasCall bool) []bool {
+	direct := make([]bool, len(simple))
 	if !effTail {
-		return !planHasCall
-	}
-	if k >= em.stackParams {
-		return false
-	}
-	for _, j := range later {
-		if slotReads(t.Args[j], k) {
-			return false
+		for n := range direct {
+			direct[n] = !planHasCall
 		}
+		return direct
 	}
+	// read[k] is whether incoming-parameter slot k is read after the
+	// argument under consideration.
+	read := make([]bool, em.stackParams)
 	for _, step := range t.Plan.Steps {
-		if slotReads(t.ShuffleExpr(step.Arg), k) {
-			return false
-		}
+		markSlotReads(t.ShuffleExpr(step.Arg), read)
 	}
-	return true
+	for n := len(simple) - 1; n >= 0; n-- {
+		k := simple[n] - em.cfg.ArgRegs
+		direct[n] = k < em.stackParams && !read[k]
+		markSlotReads(t.Args[simple[n]], read)
+	}
+	return direct
 }
 
-// slotReads reports whether evaluating e may read frame slot k (a
-// slot-homed variable access).
-func slotReads(e ir.Expr, k int) bool {
+// markSlotReads sets read[k] for every frame slot k < len(read) that
+// evaluating e may read (a slot-homed variable access).
+func markSlotReads(e ir.Expr, read []bool) {
 	switch t := e.(type) {
 	case *ir.Const, *ir.GlobalRef, *ir.FreeRef:
-		return false
 	case *ir.VarRef:
-		return t.Var.Loc.Kind == ir.LocSlot && t.Var.Loc.Index == k
+		if t.Var.Loc.Kind == ir.LocSlot && t.Var.Loc.Index < len(read) {
+			read[t.Var.Loc.Index] = true
+		}
 	case *ir.GlobalSet:
-		return slotReads(t.Rhs, k)
+		markSlotReads(t.Rhs, read)
 	case *ir.If:
-		return slotReads(t.Test, k) || slotReads(t.Then, k) || slotReads(t.Else, k)
+		markSlotReads(t.Test, read)
+		markSlotReads(t.Then, read)
+		markSlotReads(t.Else, read)
 	case *ir.Seq:
 		for _, x := range t.Exprs {
-			if slotReads(x, k) {
-				return true
-			}
+			markSlotReads(x, read)
 		}
-		return false
 	case *ir.Bind:
-		return slotReads(t.Rhs, k) || slotReads(t.Body, k)
+		markSlotReads(t.Rhs, read)
+		markSlotReads(t.Body, read)
 	case *ir.PrimCall:
 		for _, x := range t.Args {
-			if slotReads(x, k) {
-				return true
-			}
+			markSlotReads(x, read)
 		}
-		return false
 	case *ir.Call:
-		if slotReads(t.Fn, k) {
-			return true
-		}
+		markSlotReads(t.Fn, read)
 		for _, x := range t.Args {
-			if slotReads(x, k) {
-				return true
-			}
+			markSlotReads(x, read)
 		}
-		return false
 	case *ir.MakeClosure:
 		for _, x := range t.Free {
-			if slotReads(x, k) {
-				return true
-			}
+			markSlotReads(x, read)
 		}
-		return false
 	case *ir.Fix:
 		for _, c := range t.Closures {
-			if slotReads(c, k) {
-				return true
-			}
+			markSlotReads(c, read)
 		}
-		return slotReads(t.Body, k)
+		markSlotReads(t.Body, read)
 	case *ir.Save:
-		return slotReads(t.Body, k)
+		markSlotReads(t.Body, read)
 	default:
-		panic(fmt.Sprintf("codegen: slotReads: unknown expression %T", e))
+		panic(fmt.Sprintf("codegen: markSlotReads: unknown expression %T", e))
 	}
 }
 
