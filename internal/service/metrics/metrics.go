@@ -8,10 +8,12 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,8 +48,15 @@ type family struct {
 	buckets []float64
 
 	mu       sync.Mutex
-	children map[string]metric // keyed by rendered label string
-	order    []string
+	children map[string]*child // keyed by childKey of the label values
+	order    []*child          // first-use order
+}
+
+// child is one label variant of a family, with its label string
+// rendered once, at creation.
+type child struct {
+	labelStr string
+	m        metric
 }
 
 type metric interface {
@@ -62,7 +71,7 @@ func (r *Registry) family(name, help string, kind familyKind, labels []string, b
 	}
 	f := &family{
 		name: name, help: help, kind: kind, labels: labels,
-		buckets: buckets, children: map[string]metric{},
+		buckets: buckets, children: map[string]*child{},
 	}
 	r.byName[name] = f
 	r.families = append(r.families, f)
@@ -74,33 +83,48 @@ func (f *family) child(values []string, mk func() metric) metric {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s expects %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := labelString(f.labels, values)
+	// The key is built in a stack buffer and the map is indexed with
+	// string(key), which Go does without copying, so looking up an
+	// existing child allocates nothing.
+	var buf [128]byte
+	key := childKey(buf[:0], values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if m, ok := f.children[key]; ok {
-		return m
+	if c, ok := f.children[string(key)]; ok {
+		return c.m
 	}
-	m := mk()
-	f.children[key] = m
-	f.order = append(f.order, key)
-	return m
+	c := &child{labelStr: labelString(f.labels, values), m: mk()}
+	f.children[string(key)] = c
+	f.order = append(f.order, c)
+	return c.m
 }
 
-// labelString renders {a="x",b="y"} (empty for no labels).
+// childKey appends an injective encoding of a family's label values to
+// b: each value preceded by its length.
+func childKey(b []byte, values []string) []byte {
+	for _, v := range values {
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		b = append(b, v...)
+	}
+	return b
+}
+
+// labelString renders {a="x",b="y"} (empty for no labels), each value
+// quoted as Go's %q verb would.
 func labelString(names, values []string) string {
 	if len(names) == 0 {
 		return ""
 	}
-	var b strings.Builder
-	b.WriteByte('{')
+	b := []byte{'{'}
 	for i, n := range names {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", n, values[i])
+		b = append(b, n...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, values[i])
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
 // Counter is a monotonically increasing int64.
@@ -275,8 +299,8 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 }
 
 // WriteText renders every registered metric in the Prometheus text
-// exposition format, families in registration order, label variants in
-// first-use order.
+// exposition format, families in registration order, label variants
+// sorted by their rendered label strings.
 func (r *Registry) WriteText(w io.Writer) {
 	r.mu.Lock()
 	fams := append([]*family(nil), r.families...)
@@ -292,16 +316,11 @@ func (r *Registry) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, typ)
 		f.mu.Lock()
-		order := append([]string(nil), f.order...)
-		children := make(map[string]metric, len(f.children))
-		for k, m := range f.children {
-			children[k] = m
-		}
+		children := append([]*child(nil), f.order...)
 		f.mu.Unlock()
-		sorted := append([]string(nil), order...)
-		sort.Strings(sorted)
-		for _, key := range sorted {
-			children[key].write(w, f.name, key)
+		sort.Slice(children, func(i, j int) bool { return children[i].labelStr < children[j].labelStr })
+		for _, c := range children {
+			c.m.write(w, f.name, c.labelStr)
 		}
 	}
 }

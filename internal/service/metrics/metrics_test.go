@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -109,5 +112,53 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if h.Count() != 8000 {
 		t.Errorf("histogram count = %d, want 8000", h.Count())
+	}
+}
+
+// TestWithExistingChildAllocsNothing: fetching a label variant that
+// already exists renders nothing and allocates nothing.
+func TestWithExistingChildAllocsNothing(t *testing.T) {
+	r := NewRegistry()
+	one := r.NewCounterVec("one_total", "One label.", "engine")
+	two := r.NewCounterVec("two_total", "Two labels.", "route", "code")
+	h := r.NewHistogramVec("lat_seconds", "Latency.", DefBuckets, "route")
+	one.With("threaded").Inc()
+	two.With("/v1/run", "200").Inc()
+	h.With("/v1/run").Observe(0.001)
+	if n := testing.AllocsPerRun(100, func() {
+		one.With("threaded").Inc()
+		two.With("/v1/run", "200").Inc()
+		h.With("/v1/run").Observe(0.001)
+	}); n != 0 {
+		t.Errorf("With on existing children: %v allocations per run, want 0", n)
+	}
+}
+
+// TestLabelRendering: label values that need escaping render exactly
+// as Go's %q verb renders them, variants sort by their rendered label
+// strings, and values whose concatenations collide stay distinct.
+func TestLabelRendering(t *testing.T) {
+	r := NewRegistry()
+	v := r.NewCounterVec("esc_total", "Escapes.", "a", "b")
+	vals := [][2]string{
+		{"q\"uote", "back\\slash"},
+		{"new\nline", "ünï\x00"},
+		{"ab", "c"},
+		{"a", "bc"},
+		{"", ""},
+	}
+	for i, p := range vals {
+		v.With(p[0], p[1]).Add(int64(i + 1))
+	}
+	var want []string
+	for i, p := range vals {
+		want = append(want, fmt.Sprintf("esc_total{a=%q,b=%q} %d", p[0], p[1], i+1))
+	}
+	sort.Strings(want)
+	var b strings.Builder
+	r.WriteText(&b)
+	got := strings.Split(strings.TrimSpace(b.String()), "\n")[2:]
+	if !slices.Equal(got, want) {
+		t.Errorf("exposition:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -188,12 +189,22 @@ func New(cfg Config, logger *slog.Logger) *Service {
 	return s
 }
 
+// discardHandler is the nil logger's handler: enabled at no level, so a
+// service built without a logger formats no log line. (slog's own
+// DiscardHandler needs go 1.24; the module supports go 1.22.)
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h discardHandler) WithGroup(string) slog.Handler           { return h }
+
 // NewWithError is New with the store-open failure reported instead of
 // swallowed (cmd/lsrd treats it as fatal; tests assert on it).
 func NewWithError(cfg Config, logger *slog.Logger) (*Service, error) {
 	cfg = cfg.withDefaults()
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = slog.New(discardHandler{})
 	}
 	s := &Service{
 		cfg:     cfg,
@@ -343,7 +354,7 @@ func (s *Service) endpoint(name string, h handlerFunc) http.HandlerFunc {
 		start := time.Now()
 		status := 0
 		defer func() {
-			s.reqs.With(name, fmt.Sprintf("%d", status)).Inc()
+			s.reqs.With(name, strconv.Itoa(status)).Inc()
 			s.latency.With(name).Observe(time.Since(start).Seconds())
 			s.log.Info("request",
 				"endpoint", name,

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -596,5 +597,23 @@ func TestRunEngineAndCounters(t *testing.T) {
 	}
 	if strings.Contains(string(body), `engine="switch"`) {
 		t.Error(`metrics has an engine="switch" series`)
+	}
+}
+
+// TestNilLoggerFormatsNothing: a service built without a logger gets a
+// handler enabled at no level, so no request log line is ever
+// formatted, while a supplied logger is used as is.
+func TestNilLoggerFormatsNothing(t *testing.T) {
+	s := New(Config{}, nil)
+	for _, l := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+		if s.log.Enabled(context.Background(), l) {
+			t.Errorf("nil logger is enabled at %v", l)
+		}
+	}
+	var buf bytes.Buffer
+	s = New(Config{}, slog.New(slog.NewTextHandler(&buf, nil)))
+	s.log.Info("hello")
+	if !strings.Contains(buf.String(), "msg=hello") {
+		t.Errorf("supplied logger not used: %q", buf.String())
 	}
 }
