@@ -137,8 +137,8 @@ type RunRequest struct {
 	// Validate poisons caller-save registers at call boundaries.
 	Validate bool `json:"validate,omitempty"`
 	// Engine names the execution engine. The machine has one, so only
-	// "" and "threaded" are accepted; anything else, "switch" included
-	// (the retired reference loop), is a bad request.
+	// "" and "threaded" are accepted; anything else, "switch" included,
+	// is a bad request.
 	Engine string `json:"engine,omitempty"`
 	// Counters selects the counter fidelity: "full" (the default;
 	// every field of the response's counters is populated) or

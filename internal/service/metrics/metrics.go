@@ -49,7 +49,6 @@ type family struct {
 
 	mu       sync.Mutex
 	children map[string]*child // keyed by childKey of the label values
-	order    []*child          // first-use order
 }
 
 // child is one label variant of a family, with its label string
@@ -95,7 +94,6 @@ func (f *family) child(values []string, mk func() metric) metric {
 	}
 	c := &child{labelStr: labelString(f.labels, values), m: mk()}
 	f.children[string(key)] = c
-	f.order = append(f.order, c)
 	return c.m
 }
 
@@ -316,7 +314,10 @@ func (r *Registry) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, typ)
 		f.mu.Lock()
-		children := append([]*child(nil), f.order...)
+		children := make([]*child, 0, len(f.children))
+		for _, c := range f.children {
+			children = append(children, c)
+		}
 		f.mu.Unlock()
 		sort.Slice(children, func(i, j int) bool { return children[i].labelStr < children[j].labelStr })
 		for _, c := range children {

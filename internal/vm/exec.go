@@ -1,12 +1,13 @@
 package vm
 
-// This file is the machine's execution engine, behind Machine.Run. At first use of a Program it decodes every Instr
-// once into a flat array of operand records (dcode) — constants,
-// primitive definitions and slot kinds are resolved at decode time, and
-// each record carries a dense dispatch code. Every instruction dispatches
-// through one jump-table switch over that code, with an inline arm per
-// code (an indirect call per instruction costs more than a table switch
-// in Go, so dispatch itself makes no call).
+// This file is the machine's execution engine, behind Machine.Run. At
+// first use of a Program it decodes every Instr once into a flat array
+// of operand records (dcode) — constants, primitive definitions and
+// slot kinds are resolved at decode time, and each record carries a
+// dense dispatch code. Every instruction dispatches through one
+// jump-table switch over that code, with an inline arm per code (an
+// indirect call per instruction costs more than a table switch in Go,
+// so dispatch itself makes no call).
 //
 // The engine invariant — enforced by the TestEngineEquivalence tests —
 // is that it reproduces testdata/engine_golden.json, recorded from the
